@@ -1,7 +1,6 @@
 # Development entry points.  Each target mirrors a CI job exactly:
 # `make check` = the test job, `make lint` = the lint job,
 # `make examples` = the examples smoke job (every script in examples/),
-# `make bench-incremental` = the incremental speedup gate,
 # `make bench-index` = the index-join speedup gate,
 # `make bench-shared` = the shared-plan (MQO) speedup gate,
 # `make bench-subscriptions` = the subscription fan-out speedup gate,
@@ -16,7 +15,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test smoke examples lint cov bench bench-columnar bench-incremental bench-index bench-shared bench-subscriptions bench-wal bench-compiled bench-fixpoint bench-distributed bench-ci loadtest
+.PHONY: check test smoke examples lint cov bench bench-columnar bench-index bench-shared bench-subscriptions bench-wal bench-compiled bench-fixpoint bench-distributed bench-ci loadtest
 
 ## Run the tier-1 test suite plus a quickstart smoke run (CI gate).
 check: test smoke
@@ -47,10 +46,6 @@ bench:
 ## Just the columnar-vs-row benchmarks, with timings printed.
 bench-columnar:
 	$(PYTHON) -m pytest benchmarks/bench_columnar.py -q -s
-
-## Incremental-vs-batch/row benchmarks incl. the >=3x low-churn gate.
-bench-incremental:
-	$(PYTHON) -m pytest benchmarks/bench_incremental.py -q -s
 
 ## Index-join-vs-grid-rebuild benchmarks incl. the >=3x gate.
 bench-index:

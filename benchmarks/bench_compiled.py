@@ -5,7 +5,7 @@ physical pipeline — filter+project+join+aggregate over column lists —
 into one generated Python function, cached by the MQO plan fingerprint.
 These benchmarks gate the two hot shapes the compiler exists for:
 
-* the filter+aggregate tick query from the incremental scenario
+* the filter+aggregate tick query from the low-churn tick scenario
   (``incremental_scenario.py``), where the interpreted batch path runs
   four operators with per-operator materialization and the kernel runs
   one loop, and
@@ -35,7 +35,7 @@ TICKS_FILTER_AGG = 60
 TICKS_BAND = 20
 GATE_SPEEDUP = 2.0
 
-INTERP_CONFIG = EngineConfig(use_incremental=False, use_indexes=False)
+INTERP_CONFIG = EngineConfig(use_indexes=False)
 COMPILED_CONFIG = INTERP_CONFIG.replace(use_compiled=True)
 
 

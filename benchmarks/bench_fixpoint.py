@@ -31,6 +31,7 @@ from fixpoint_scenario import (
     build_edges_catalog,
     churn_step,
     closure_plan,
+    cold_semi_naive_executor,
 )
 from repro.engine.config import EngineConfig
 from repro.engine.executor import Executor
@@ -51,8 +52,8 @@ def test_semi_naive_and_warm_restart_speedups():
     under insert-only churn; all paths equal to the BFS oracle each tick."""
     catalog, edges = build_edges_catalog()
     plan = closure_plan()
-    naive_exec = Executor(catalog, EngineConfig(use_incremental=False, use_fixpoint=False))
-    semi_exec = Executor(catalog, EngineConfig(use_incremental=False))
+    naive_exec = Executor(catalog, EngineConfig(use_fixpoint=False))
+    semi_exec = cold_semi_naive_executor(catalog)
     warm_exec = Executor(catalog, EngineConfig())
 
     # Warm the plan caches (and the warm path's cached closure) once.
@@ -98,7 +99,7 @@ def test_unchanged_graph_serves_cached_closure():
     """No churn between executions: the version-vector cache answers."""
     catalog, edges = build_edges_catalog(n_nodes=200)
     plan = closure_plan()
-    executor = Executor(catalog, EngineConfig(use_incremental=False))
+    executor = Executor(catalog, EngineConfig())
     first = _nodes(executor.execute(plan).rows)
     rounds_after_first = executor.fixpoint_report()["total_rounds"]
     second = _nodes(executor.execute(plan).rows)
@@ -112,7 +113,7 @@ def test_unchanged_graph_serves_cached_closure():
 def test_closure_semi_naive(benchmark):
     catalog, edges = build_edges_catalog()
     plan = closure_plan()
-    executor = Executor(catalog, EngineConfig(use_incremental=False))
+    executor = cold_semi_naive_executor(catalog)
     executor.execute(plan)
     rng = random.Random(SEED)
     state = {"tick": 0}
@@ -129,7 +130,7 @@ def test_closure_semi_naive(benchmark):
 def test_closure_naive(benchmark):
     catalog, edges = build_edges_catalog()
     plan = closure_plan()
-    executor = Executor(catalog, EngineConfig(use_incremental=False, use_fixpoint=False))
+    executor = Executor(catalog, EngineConfig(use_fixpoint=False))
     executor.execute(plan)
     rng = random.Random(SEED)
     state = {"tick": 0}

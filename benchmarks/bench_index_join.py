@@ -14,10 +14,7 @@ Measurements:
 * the acceptance gate: the indexed path must beat the grid-rebuild path by
   >= 3x across a multi-tick run, with indexed/batch/row results asserted
   equivalent every tick,
-* pytest-benchmark timings of one churn+query tick per path,
-* the incremental view on the same query with the index available — the
-  delta path probes the index for the unchanged side instead of rescanning
-  it (informational; the incremental gate lives in bench_incremental.py).
+* pytest-benchmark timings of one churn+query tick per path.
 """
 
 from __future__ import annotations
@@ -34,6 +31,7 @@ from index_join_scenario import (
     build_band_catalog,
     churn_step,
 )
+from repro.engine.config import EngineConfig
 from repro.engine.executor import Executor
 from repro.engine.operators import IndexProbeJoinOp, RangeProbeJoinOp
 
@@ -46,11 +44,9 @@ def _normalized(rows):
 
 def _paths(catalog):
     return {
-        "indexed": Executor(catalog, use_incremental=False),
-        "rebuild": Executor(catalog, use_indexes=False, use_incremental=False),
-        "row": Executor(
-            catalog, use_indexes=False, use_batch=False, use_incremental=False
-        ),
+        "indexed": Executor(catalog),
+        "rebuild": Executor(catalog, config=EngineConfig(use_indexes=False)),
+        "row": Executor(catalog, config=EngineConfig(use_indexes=False, use_batch=False)),
     }
 
 
@@ -96,35 +92,11 @@ def test_index_join_speedup_vs_rebuild():
     assert speedup >= 3.0, f"indexed band join only {speedup:.2f}x vs grid rebuild"
 
 
-def test_incremental_band_join_probes_index():
-    """The delta path on the same query probes the index for the unchanged
-    side; equivalent results, and strictly fewer full-table rescans."""
-    from repro.engine.operators import DeltaJoinOp
-
-    catalog, units, scouts = build_band_catalog()
-    plan = band_join_query()
-    inc = Executor(catalog)
-    assert inc.register_incremental(plan)
-    ref = Executor(catalog, use_indexes=False, use_batch=False, use_incremental=False)
-    view = inc.incremental_view(plan)
-    rng = random.Random(SEED + 2)
-    for tick in range(5):
-        assert _normalized(inc.execute(plan).rows) == _normalized(ref.execute(plan).rows)
-        churn_step(units, scouts, rng, tick)
-    probes = [
-        op.band_probe
-        for op in view.root.walk()
-        if isinstance(op, DeltaJoinOp) and op.band_probe is not None
-    ]
-    assert probes and sum(p.index_probes for p in probes) > 0
-    assert view.delta_refreshes >= 4, view.stats()
-
-
 @pytest.mark.benchmark(group="E15-index-join-tick")
 def test_tick_indexed(benchmark):
     catalog, units, scouts = build_band_catalog()
     plan = band_join_query()
-    executor = Executor(catalog, use_incremental=False)
+    executor = Executor(catalog)
     executor.execute(plan)
     rng = random.Random(SEED)
     state = {"tick": 0}
@@ -141,7 +113,7 @@ def test_tick_indexed(benchmark):
 def test_tick_grid_rebuild(benchmark):
     catalog, units, scouts = build_band_catalog()
     plan = band_join_query()
-    executor = Executor(catalog, use_indexes=False, use_incremental=False)
+    executor = Executor(catalog, config=EngineConfig(use_indexes=False))
     executor.execute(plan)
     rng = random.Random(SEED)
     state = {"tick": 0}

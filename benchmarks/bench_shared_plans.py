@@ -33,6 +33,7 @@ from shared_plans_scenario import (
     tick_specs,
 )
 from repro import ExecutionMode
+from repro.engine.config import EngineConfig
 from repro.runtime.world import GameWorld
 from repro.engine.executor import Executor
 
@@ -48,8 +49,8 @@ def test_shared_tick_equivalence():
     catalog, units = build_units_catalog(n_rows=600)
     plans = tick_queries()
     specs = tick_specs(plans)
-    shared_exec = Executor(catalog, use_incremental=False)
-    unshared_exec = Executor(catalog, use_incremental=False)
+    shared_exec = Executor(catalog)
+    unshared_exec = Executor(catalog)
     rng = random.Random(SEED + 1)
     for tick in range(5):
         shared_results = shared_exec.execute_tick(specs)
@@ -71,8 +72,8 @@ def test_shared_plan_speedup_gate():
     catalog, units = build_units_catalog()
     plans = tick_queries()
     specs = tick_specs(plans)
-    shared_exec = Executor(catalog, use_incremental=False)
-    unshared_exec = Executor(catalog, use_incremental=False)
+    shared_exec = Executor(catalog)
+    unshared_exec = Executor(catalog)
     # Warm both plan caches / pipelines.
     shared_exec.execute_tick(specs)
     for plan in plans:
@@ -136,8 +137,7 @@ def _build_many_scripts_world(use_mqo: bool) -> GameWorld:
     world = GameWorld(
         _many_scripts_source(),
         mode=ExecutionMode.COMPILED,
-        use_incremental=False,
-        use_mqo=use_mqo,
+        config=EngineConfig(use_mqo=use_mqo),
     )
     world.spawn_many(
         "Unit",

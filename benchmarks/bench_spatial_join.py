@@ -16,6 +16,7 @@ from repro.engine import (
     Catalog,
     Column,
     DataType,
+    EngineConfig,
     Executor,
     Join,
     Schema,
@@ -59,14 +60,16 @@ def range_join_plan():
 
 @pytest.mark.benchmark(group="E3-spatial-join")
 def test_optimized_range_probe_join(benchmark):
-    executor = Executor(make_catalog(400), optimize=True)
+    executor = Executor(make_catalog(400), config=EngineConfig(optimize=True))
     plan = range_join_plan()
     benchmark(lambda: executor.execute(plan))
 
 
 @pytest.mark.benchmark(group="E3-spatial-join")
 def test_naive_nested_loop_join(benchmark):
-    executor = Executor(make_catalog(400), optimize=False, use_indexes=False)
+    executor = Executor(
+        make_catalog(400), config=EngineConfig(optimize=False, use_indexes=False)
+    )
     plan = range_join_plan()
     benchmark(lambda: executor.execute(plan, cache=False))
 
@@ -79,8 +82,8 @@ def test_optimized_join_wins_and_gap_grows(scaling_sizes, capsys):
     speedups = []
     for n in scaling_sizes:
         catalog = make_catalog(n)
-        optimized = Executor(catalog, optimize=True)
-        naive = Executor(catalog, optimize=False, use_indexes=False)
+        optimized = Executor(catalog, config=EngineConfig(optimize=True))
+        naive = Executor(catalog, config=EngineConfig(optimize=False, use_indexes=False))
         plan = range_join_plan()
         optimized_s = measure(lambda: optimized.execute(plan), repeat=2)
         naive_s = measure(lambda: naive.execute(plan, cache=False), repeat=2)

@@ -41,7 +41,7 @@ def test_delta_stream_equivalence_sampled():
     plans = client_plans(n_subscribers=60)
     manager = SubscriptionManager(catalog=catalog, executor=Executor(catalog))
     sessions, sub_ids = subscribe_clients(manager, plans)
-    scratch = Executor(catalog, use_incremental=False)
+    scratch = Executor(catalog)
     states = {sid: ResultSet() for sid in sub_ids}
     for session, sid in zip(sessions, sub_ids):
         for message in session.take():
@@ -70,7 +70,7 @@ def test_fanout_speedup_gate():
     sessions, _ = subscribe_clients(manager, plans)
     for session in sessions:
         session.take()
-    naive_exec = Executor(catalog, use_incremental=False)
+    naive_exec = Executor(catalog)
     naive_tick(naive_exec, plans)  # warm the plan cache
 
     rng = random.Random(SEED)

@@ -4,10 +4,10 @@ Runs a fixed-seed benchmark suite and writes ``BENCH_tick.json``:
 
 * per-workload tick times (rts / traffic / marketplace, compiled mode,
   default engine configuration) — recorded for trend tracking,
-* the shared low-churn incremental scenario
-  (``benchmarks/incremental_scenario.py``) timed on all three execution
-  paths, yielding the incremental-vs-batch and incremental-vs-row
-  speedups, plus the batch-vs-row speedup of the hot tick query,
+* the shared low-churn tick scenario
+  (``benchmarks/incremental_scenario.py``) timed on the batch and row
+  execution paths, yielding the batch-vs-row speedup of the hot tick
+  query,
 * the shared moving-units band-join scenario
   (``benchmarks/index_join_scenario.py``) timed on the persistent-index,
   grid-rebuild and row paths, yielding the index-join speedups,
@@ -25,8 +25,9 @@ Runs a fixed-seed benchmark suite and writes ``BENCH_tick.json``:
 * the shared transitive-closure scenario
   (``benchmarks/fixpoint_scenario.py``, long-diameter supply graph under
   1% insert-only edge churn) timed as naive fixpoint, from-scratch
-  semi-naive, and warm re-closure from the cached accumulator, yielding
-  the semi-naive and warm-restart speedups,
+  semi-naive (warm restarts switched off on the planner), and warm
+  re-closure from the cached accumulator, yielding the semi-naive and
+  warm-restart speedups,
 * the kernel-compilation scenarios (``benchmarks/bench_compiled.py``):
   the hot filter+aggregate tick query and the scout/unit band join, each
   timed compiled vs interpreted-batch, yielding the compiled speedups,
@@ -83,7 +84,7 @@ from incremental_scenario import (  # noqa: E402
     tick_query,
 )
 from repro import ExecutionMode  # noqa: E402
-from repro.engine import EngineConfig
+from repro.engine import EngineConfig  # noqa: E402
 from repro.engine.executor import Executor  # noqa: E402
 from repro.obs.collector import PHASE_FIELDS  # noqa: E402
 from repro.service.subscriptions import SubscriptionManager  # noqa: E402
@@ -95,9 +96,7 @@ BASELINE_DEFAULT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BEN
 
 #: Speedup metrics gated against the baseline (path → description).
 GATED_METRICS = {
-    "incremental.speedup_vs_batch": "incremental path vs batch path",
-    "incremental.speedup_vs_row": "incremental path vs row path",
-    "incremental.batch_speedup_vs_row": "batch path vs row path",
+    "batch.speedup_vs_row": "batch path vs row path",
     "index_join.speedup_vs_rebuild": "index-probing band join vs per-tick grid rebuild",
     "index_join.speedup_vs_row": "index-probing band join vs row path",
     "shared_plans.speedup_vs_unshared": "tick-wide shared-subplan pipeline vs per-query execution",
@@ -149,15 +148,13 @@ def bench_workloads() -> dict:
     return out
 
 
-def bench_incremental(ticks: int = 30) -> dict:
+def bench_batch(ticks: int = 30) -> dict:
     catalog, units = build_units_catalog()
     plan = tick_query()
     paths = {
-        "incremental": Executor(catalog),
-        "batch": Executor(catalog, EngineConfig(use_incremental=False)),
-        "row": Executor(catalog, EngineConfig(use_batch=False, use_incremental=False)),
+        "batch": Executor(catalog, EngineConfig()),
+        "row": Executor(catalog, EngineConfig(use_batch=False)),
     }
-    assert paths["incremental"].register_incremental(plan)
     for executor in paths.values():
         executor.execute(plan)
     rng = random.Random(SEED)
@@ -172,12 +169,9 @@ def bench_incremental(ticks: int = 30) -> dict:
         "ticks": ticks,
         "rows": len(units),
         "churn_fraction": CHURN_FRACTION,
-        "incremental_seconds": round(totals["incremental"], 6),
         "batch_seconds": round(totals["batch"], 6),
         "row_seconds": round(totals["row"], 6),
-        "speedup_vs_batch": round(totals["batch"] / totals["incremental"], 3),
-        "speedup_vs_row": round(totals["row"] / totals["incremental"], 3),
-        "batch_speedup_vs_row": round(totals["row"] / totals["batch"], 3),
+        "speedup_vs_row": round(totals["row"] / totals["batch"], 3),
     }
 
 
@@ -185,12 +179,9 @@ def bench_index_join(ticks: int = 30) -> dict:
     catalog, units, scouts = index_join_scenario.build_band_catalog()
     plan = index_join_scenario.band_join_query()
     paths = {
-        "indexed": Executor(catalog, EngineConfig(use_incremental=False)),
-        "rebuild": Executor(catalog, EngineConfig(use_indexes=False, use_incremental=False)),
-        "row": Executor(
-            catalog,
-            EngineConfig(use_indexes=False, use_batch=False, use_incremental=False),
-        ),
+        "indexed": Executor(catalog, EngineConfig()),
+        "rebuild": Executor(catalog, EngineConfig(use_indexes=False)),
+        "row": Executor(catalog, EngineConfig(use_indexes=False, use_batch=False)),
     }
     for executor in paths.values():
         executor.execute(plan)
@@ -224,8 +215,8 @@ def bench_fixpoint(ticks: int = 8, naive_ticks: int = 2) -> dict:
     the gate conservative)."""
     catalog, edges = fixpoint_scenario.build_edges_catalog()
     plan = fixpoint_scenario.closure_plan()
-    naive_exec = Executor(catalog, EngineConfig(use_incremental=False, use_fixpoint=False))
-    semi_exec = Executor(catalog, EngineConfig(use_incremental=False))
+    naive_exec = Executor(catalog, EngineConfig(use_fixpoint=False))
+    semi_exec = fixpoint_scenario.cold_semi_naive_executor(catalog)
     warm_exec = Executor(catalog, EngineConfig())
     for executor in (naive_exec, semi_exec, warm_exec):
         executor.execute(plan)
@@ -265,8 +256,8 @@ def bench_shared_plans(ticks: int = 15) -> dict:
     catalog, units = shared_plans_scenario.build_units_catalog()
     plans = shared_plans_scenario.tick_queries()
     specs = shared_plans_scenario.tick_specs(plans)
-    shared_exec = Executor(catalog, EngineConfig(use_incremental=False))
-    unshared_exec = Executor(catalog, EngineConfig(use_incremental=False))
+    shared_exec = Executor(catalog, EngineConfig())
+    unshared_exec = Executor(catalog, EngineConfig())
     shared_exec.execute_tick(specs)
     for plan in plans:
         unshared_exec.execute(plan)
@@ -301,7 +292,7 @@ def bench_subscriptions(ticks: int = 8) -> dict:
     sessions, _ = subscription_scenario.subscribe_clients(manager, plans)
     for session in sessions:
         session.take()
-    naive_exec = Executor(catalog, EngineConfig(use_incremental=False))
+    naive_exec = Executor(catalog, EngineConfig())
     subscription_scenario.naive_tick(naive_exec, plans)  # warm plan cache
     rng = random.Random(subscription_scenario.SEED)
     delta_total = naive_total = 0.0
@@ -406,7 +397,7 @@ def run_suite() -> dict:
     return {
         "schema": 1,
         "workloads": bench_workloads(),
-        "incremental": bench_incremental(),
+        "batch": bench_batch(),
         "index_join": bench_index_join(),
         "shared_plans": bench_shared_plans(),
         "subscriptions": bench_subscriptions(),

@@ -8,8 +8,9 @@ couple of rows while the naive frontier is the whole accumulator, so
 total row work is O(n) vs O(n²) for the same result.
 
 Churn is *insert-only* (new delivery leaves attached to random spine
-nodes), so executors with delta variants enabled warm-restart the cached
-closure from just the new edges instead of re-closing from scratch.
+nodes), so default executors warm-restart the cached closure from just the
+new edges instead of re-closing from scratch; the from-scratch comparator
+is :func:`cold_semi_naive_executor`.
 Used by ``bench_fixpoint.py`` (pytest gate) and ``ci_bench.py`` (the CI
 benchmark/regression pipeline), so the two always measure the same
 workload.
@@ -22,6 +23,8 @@ from collections import deque
 
 from repro.engine.algebra import Fixpoint, Join, Project, RecursiveRef, TableScan, Values
 from repro.engine.catalog import Catalog
+from repro.engine.config import EngineConfig
+from repro.engine.executor import Executor
 from repro.engine.expressions import BinaryOp, ColumnRef
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
@@ -41,6 +44,19 @@ def build_edges_catalog(n_nodes: int = N_NODES) -> tuple[Catalog, Table]:
     ]
     edges.insert_many(rows)
     return catalog, edges
+
+
+def cold_semi_naive_executor(catalog: Catalog) -> Executor:
+    """A semi-naive executor that re-closes from scratch after churn.
+
+    Warm restarts are on in every config with ``use_fixpoint``; the
+    planner's ``fixpoint_incremental`` switch (set before the first
+    execute, so no plan is lowered with delta variants) turns them off for
+    this comparator only.
+    """
+    executor = Executor(catalog, EngineConfig())
+    executor.planner.physical_planner.fixpoint_incremental = False
+    return executor
 
 
 def closure_plan(start: int = 0) -> Fixpoint:

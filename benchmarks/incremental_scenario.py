@@ -1,11 +1,10 @@
-"""Shared low-churn tick scenario for the incremental benchmarks and CI.
+"""Shared low-churn tick scenario for the batch and kernel benchmarks.
 
 One table of ``N_ROWS`` units, a hot tick-query (filter + grouped
 aggregate), and a deterministic churn step that touches ``CHURN_FRACTION``
-of the rows per tick (plus a trickle of inserts/deletes) — the shape the
-delta-driven path is built for.  Used by ``bench_incremental.py`` (pytest
-gate) and ``ci_bench.py`` (the CI benchmark/regression pipeline), so the
-two always measure the same workload.
+of the rows per tick (plus a trickle of inserts/deletes).  Used by
+``ci_bench.py`` (the batch-vs-row gate) and ``bench_compiled.py`` (the
+compiled filter+aggregate kernel), so both measure the same workload.
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ def run_loadtest(
 
     Each step spawns *growth* more units and connects
     *subscribers_per_step* more AOI subscribers into the **same** world
-    (state, plan caches and incremental views persist across steps, as
+    (state, plan caches and indexes persist across steps, as
     they would in a long-running server), then times *ticks_per_step*
     ticks.  Returns a summary dict with per-step samples, the breaking
     point (or ``None`` when the ramp completed under deadline), and the

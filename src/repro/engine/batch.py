@@ -26,10 +26,9 @@ evaluates lazily over candidate join pairs.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any, Iterable, Mapping, Sequence
 
-__all__ = ["ColumnBatch", "DeltaBatch", "IndirectColumn"]
+__all__ = ["ColumnBatch", "IndirectColumn"]
 
 
 class IndirectColumn:
@@ -51,94 +50,6 @@ class IndirectColumn:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-
-class DeltaBatch:
-    """A signed row-set delta: rows added to and removed from a relation.
-
-    The incremental execution path (:mod:`repro.engine.operators.incremental`)
-    represents the change of any relation between two table versions as two
-    row multisets: ``added`` and ``removed``.  An *updated* row is simply
-    its old version in ``removed`` plus its new version in ``added`` — the
-    uniform representation that lets filters, projections and joins
-    propagate deltas without caring which mutation produced them.
-
-    Rows are stored as value *tuples* in ``names`` order (hashable, so they
-    can key the materialized-view counters and hash-join tables), not as
-    dicts; :meth:`row_dicts` converts when an expression needs a mapping.
-
-    ``netted`` marks a delta whose two sides are known disjoint, letting
-    :meth:`net` skip its counting pass when operators chain.
-    """
-
-    __slots__ = ("names", "added", "removed", "netted")
-
-    def __init__(
-        self,
-        names: Sequence[str],
-        added: list[tuple] | None = None,
-        removed: list[tuple] | None = None,
-        netted: bool = False,
-    ):
-        self.names = tuple(names)
-        self.added = added if added is not None else []
-        self.removed = removed if removed is not None else []
-        self.netted = netted
-
-    @classmethod
-    def empty(cls, names: Sequence[str]) -> "DeltaBatch":
-        return cls(names, netted=True)
-
-    @classmethod
-    def from_rows(
-        cls,
-        names: Sequence[str],
-        added: Iterable[Mapping[str, Any]],
-        removed: Iterable[Mapping[str, Any]],
-    ) -> "DeltaBatch":
-        """Build a delta from row mappings (values gathered in ``names`` order)."""
-        names = tuple(names)
-        return cls(
-            names,
-            [tuple(row[name] for name in names) for row in added],
-            [tuple(row[name] for name in names) for row in removed],
-        )
-
-    def __len__(self) -> int:
-        """Total number of signed rows (added plus removed)."""
-        return len(self.added) + len(self.removed)
-
-    def __repr__(self) -> str:
-        return f"DeltaBatch(+{len(self.added)}, -{len(self.removed)})"
-
-    def is_empty(self) -> bool:
-        return not self.added and not self.removed
-
-    def row_dicts(self, rows: Sequence[tuple]) -> list[dict[str, Any]]:
-        """Materialize value tuples as row dicts (for expression evaluation)."""
-        names = self.names
-        return [dict(zip(names, values)) for values in rows]
-
-    def net(self) -> "DeltaBatch":
-        """Cancel rows appearing on both sides (e.g. a no-op update).
-
-        Keeps deltas minimal as they propagate: an update that does not
-        change any projected column nets out to nothing, so downstream
-        operators and the view counters do no work for it.
-        """
-        if self.netted or not self.added or not self.removed:
-            self.netted = True
-            return self
-        counts: Counter = Counter(self.added)
-        counts.subtract(self.removed)
-        added: list[tuple] = []
-        removed: list[tuple] = []
-        for values, count in counts.items():
-            if count > 0:
-                added.extend([values] * count)
-            elif count < 0:
-                removed.extend([values] * (-count))
-        return DeltaBatch(self.names, added, removed, netted=True)
 
 
 class ColumnBatch:

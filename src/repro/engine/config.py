@@ -1,30 +1,20 @@
-"""Engine configuration: one frozen object instead of six boolean flags.
+"""Engine configuration: one frozen object for every optional engine path.
 
-Before this module the engine's feature toggles (``use_batch``,
-``use_incremental``, ``use_mqo``, ``use_indexes``, ``auto_index``) were
-threaded as individual keyword arguments through :class:`GameWorld`, the
-executor, the planner, and every ``build_*_world`` constructor — 63
-occurrences across 8 files, each new flag multiplying the sprawl.
-:class:`EngineConfig` consolidates them:
-
-* construct one ``EngineConfig`` and pass it as ``config=`` anywhere the
-  old booleans were accepted;
-* the old keyword arguments keep working through
-  :func:`resolve_engine_config`, which maps them onto the config object
-  and emits a :class:`DeprecationWarning`;
-* named presets (:meth:`EngineConfig.fastest`,
-  :meth:`EngineConfig.reference`, :meth:`EngineConfig.debug`) capture the
-  three configurations benchmarks and bug reports actually use, and
-  ``REPRO_ENGINE_PRESET`` selects one from the environment so CI can run
-  the whole suite under e.g. the fully compiled configuration.
+:class:`EngineConfig` is the engine's single configuration surface: build
+one and pass it as ``config=`` to :class:`~repro.runtime.world.GameWorld`,
+the executor, the planner or any ``build_*_world`` constructor.  Named
+presets (:meth:`EngineConfig.fastest`, :meth:`EngineConfig.reference`,
+:meth:`EngineConfig.debug`) capture the three configurations benchmarks
+and bug reports actually use, and ``REPRO_ENGINE_PRESET`` selects one from
+the environment so CI can run the whole suite under e.g. the fully
+compiled configuration.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Mapping
+from typing import Any
 
 __all__ = ["EngineConfig", "resolve_engine_config"]
 
@@ -37,7 +27,6 @@ class EngineConfig:
 
     ``optimize``        run the logical rewrite/join-reorder passes.
     ``use_batch``       lower fusable plans onto the columnar batch operators.
-    ``use_incremental`` maintain delta-incremental views for standing queries.
     ``use_mqo``         share common subplans across the tick's query set.
     ``use_indexes``     let the physical planner pick index scans/probes.
     ``auto_index``      run the index advisor (create/evict grid indexes).
@@ -45,9 +34,10 @@ class EngineConfig:
                         kernels (implies the batch layout; ignored when
                         ``use_batch`` is off).
     ``use_fixpoint``    evaluate recursive Fixpoint plans semi-naive (each
-                        round joins only the previous round's delta);
-                        ``False`` runs the naive reference loop over the
-                        full accumulator.
+                        round joins only the previous round's delta) and
+                        warm-restart cached closures after insert-only
+                        churn; ``False`` runs the naive reference loop over
+                        the full accumulator.
     ``index_create_after`` / ``index_evict_after``
                         advisor tuning: hot streak before creating an
                         index, idle ticks before evicting one.
@@ -55,7 +45,6 @@ class EngineConfig:
 
     optimize: bool = True
     use_batch: bool = True
-    use_incremental: bool = True
     use_mqo: bool = True
     use_indexes: bool = True
     auto_index: bool = True
@@ -73,10 +62,9 @@ class EngineConfig:
 
     @classmethod
     def reference(cls) -> "EngineConfig":
-        """Row-path-only semantics oracle: no batch, views, sharing or indexes."""
+        """Row-path-only semantics oracle: no batch, sharing or indexes."""
         return cls(
             use_batch=False,
-            use_incremental=False,
             use_mqo=False,
             use_indexes=False,
             auto_index=False,
@@ -119,46 +107,6 @@ class EngineConfig:
         return asdict(self)
 
 
-_LEGACY_FLAGS = frozenset(
-    {
-        "optimize",
-        "use_batch",
-        "use_incremental",
-        "use_mqo",
-        "use_indexes",
-        "auto_index",
-        "use_compiled",
-        "use_fixpoint",
-    }
-)
-
-
-def resolve_engine_config(
-    config: EngineConfig | None,
-    legacy: Mapping[str, Any] | None = None,
-    *,
-    stacklevel: int = 3,
-) -> EngineConfig:
-    """Resolve ``config=`` plus deprecated ``use_*`` keywords into one config.
-
-    ``legacy`` maps old keyword names to the value the caller passed, with
-    ``None`` meaning "not passed".  Any explicitly passed legacy flag is
-    applied on top of the base config (the given ``config``, or the
-    environment preset) and triggers a single :class:`DeprecationWarning`
-    naming the offending keywords.
-    """
-    base = config if config is not None else EngineConfig.from_env()
-    passed = {k: v for k, v in (legacy or {}).items() if v is not None}
-    if not passed:
-        return base
-    unknown = set(passed) - _LEGACY_FLAGS
-    if unknown:
-        raise TypeError(f"unknown engine flags: {sorted(unknown)}")
-    warnings.warn(
-        "boolean engine flags ("
-        + ", ".join(sorted(passed))
-        + ") are deprecated; pass config=EngineConfig(...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return base.replace(**{k: bool(v) for k, v in passed.items()})
+def resolve_engine_config(config: EngineConfig | None) -> EngineConfig:
+    """*config*, or the ``REPRO_ENGINE_PRESET`` preset when it is ``None``."""
+    return config if config is not None else EngineConfig.from_env()

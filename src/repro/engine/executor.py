@@ -12,16 +12,7 @@ the batch back into row dicts, so ``execute`` and ``QueryResult`` are
 path-agnostic.  ``cache_report`` notes which cached plans run on the batch
 path.
 
-A third path exists for *registered* queries: :meth:`Executor.register_incremental`
-lowers a plan to a delta-maintained materialized view
-(:mod:`repro.engine.operators.incremental`) when the planner can prove it
-correct, after which ``execute`` serves the view — cached rows when no
-referenced table changed, delta maintenance when the change logs cover the
-churn, full re-execution otherwise.  Registration is explicit because the
-view maintains a row *multiset*: callers that can observe result row order
-(or need exact float reproducibility) must stay on the full paths.
-
-Finally, the tick loop's multi-query path: :meth:`prepare_tick` takes one
+The tick loop's multi-query path: :meth:`prepare_tick` takes one
 tick's worth of queries at once, runs tick-wide multi-query optimization
 (:mod:`repro.engine.optimizer.mqo`) over their optimized logical plans, and
 compiles a pipeline in which each shared subplan is evaluated at most once
@@ -45,15 +36,13 @@ from typing import Any, Sequence
 from repro.engine.algebra import LogicalPlan
 from repro.engine.batch import ColumnBatch
 from repro.engine.catalog import Catalog
-from repro.engine.errors import EngineError, ExecutionError
+from repro.engine.errors import ExecutionError
 from repro.engine.operators import (
     BatchBridgeOp,
     BatchSharedSourceOp,
     EffectSinkOp,
-    IncrementalView,
     MaterializedSourceOp,
     PhysicalOperator,
-    fold_rows_to_partials,
 )
 from repro.engine.compile import KernelLowering
 from repro.engine.config import EngineConfig, resolve_engine_config
@@ -245,26 +234,13 @@ class Executor:
         catalog: Catalog,
         config: EngineConfig | None = None,
         *,
-        optimize: bool | None = None,
-        use_indexes: bool | None = None,
-        use_batch: bool | None = None,
-        use_incremental: bool | None = None,
         index_advisor=None,
     ):
-        config = resolve_engine_config(
-            config,
-            {
-                "optimize": optimize,
-                "use_indexes": use_indexes,
-                "use_batch": use_batch,
-                "use_incremental": use_incremental,
-            },
-        )
+        config = resolve_engine_config(config)
         self.catalog = catalog
         self.config = config
         self.index_advisor = index_advisor
         self.planner = Planner(catalog, config, index_advisor=index_advisor)
-        self.use_incremental = config.use_incremental
         #: Compiled kernel programs, keyed by MQO fingerprint + structural
         #: signature; owned here so catalog-shape invalidation drops them
         #: together with the cached plans that reference them.
@@ -275,10 +251,6 @@ class Executor:
         else:
             self._kernel_lowering = None
         self._cache: dict[int, _CachedPlan] = {}
-        #: ``id(plan) -> (plan, view)``.  The plan reference is load-bearing:
-        #: it pins the id so a garbage-collected plan can never hand its id
-        #: (and therefore this view) to an unrelated new plan.
-        self._incremental: dict[int, tuple[LogicalPlan, IncrementalView]] = {}
         #: The compiled tick pipeline (shared-subplan DAG) and its
         #: tick-scoped materializations.
         self._tick_pipeline: _TickPipeline | None = None
@@ -307,19 +279,17 @@ class Executor:
         return planned
 
     def invalidate(self, plan: LogicalPlan | None = None) -> None:
-        """Drop one cached plan (and its incremental view) or everything."""
+        """Drop one cached plan or everything."""
         if plan is None:
             self._cache.clear()
-            self._incremental.clear()
             self._kernels.clear()
         else:
             self._cache.pop(id(plan), None)
-            self._incremental.pop(id(plan), None)
         self._tick_pipeline = None
         self._shared_results.clear()
 
     def release_plan(self, plan: LogicalPlan) -> None:
-        """Drop one plan's cache entry and incremental registration only.
+        """Drop one plan's cache entry only.
 
         The narrow teardown for an external consumer (e.g. a subscription
         group) that owned the plan and went away: unlike
@@ -328,17 +298,15 @@ class Executor:
         forces the multi-query pipeline to recompile.
         """
         self._cache.pop(id(plan), None)
-        self._incremental.pop(id(plan), None)
 
     def invalidate_plans(self) -> None:
-        """Drop cached physical plans, keeping incremental registrations.
+        """Drop cached physical plans, compiled kernels and the tick pipeline.
 
         Used after the catalog *shape* changed — e.g. the index advisor
         created or evicted an index — so the next ``execute`` replans
-        against the new shape.  Incremental views stay: they are keyed by
-        table versions, not plans, and re-find indexes lazily per refresh.
-        The tick pipeline and its shared materializations are dropped too:
-        both embed lowered physical plans.  Compiled kernels go with the
+        against the new shape.  The tick pipeline and its shared
+        materializations are dropped too: both embed lowered physical
+        plans.  Compiled kernels go with the
         plans: they bake in schema column order and index decisions, so a
         stale kernel would silently read the wrong columns.
         """
@@ -359,74 +327,12 @@ class Executor:
             "cached": len(self._kernels),
         }
 
-    # -- incremental registration ----------------------------------------------------
-
-    def register_incremental(self, plan: LogicalPlan) -> bool:
-        """Try to maintain *plan*'s result incrementally from table deltas.
-
-        Returns ``True`` when the plan was lowered to a materialized view
-        (subsequent :meth:`execute` calls serve the view), ``False``
-        when the planner declined — non-monotonic operators, order-dependent
-        aggregates, band joins — or incremental execution is disabled; the
-        query then simply stays on the batch/row paths.
-
-        Only register queries whose consumers treat the result as a row
-        multiset: the view does not reproduce full-execution row order
-        after churn, and float aggregates are maintained by running
-        addition/subtraction (exact for ints, ±rounding error for floats).
-        """
-        if not self.use_incremental:
-            return False
-        key = id(plan)
-        if key in self._incremental:
-            return True
-        planned = self.prepare(plan)
-        view = self.planner.build_incremental(planned.optimized)
-        if view is None:
-            return False
-        self._incremental[key] = (plan, view)
-        return True
-
-    def incremental_view(self, plan: LogicalPlan) -> IncrementalView | None:
-        """The registered view for *plan*, if any (inspection/tests)."""
-        record = self._incremental.get(id(plan))
-        return record[1] if record is not None else None
-
     # -- execution ----------------------------------------------------------------------
 
     def execute(self, plan: LogicalPlan, cache: bool = True) -> QueryResult:
         """Plan (or reuse a cached plan for) and execute *plan*."""
         planned = self.prepare(plan, cache=cache)
-        rows = self._refresh_incremental(plan)
-        if rows is not None:
-            view_rows, runtime = rows
-            if cache and id(plan) in self._cache:
-                entry = self._cache[id(plan)]
-                entry.executions += 1
-                entry.total_runtime += runtime
-            return QueryResult(rows=view_rows, runtime=runtime, planned=planned)
         return self.execute_planned(planned, cache_key=id(plan) if cache else None)
-
-    def _refresh_incremental(
-        self, plan: LogicalPlan
-    ) -> tuple[list[dict[str, Any]], float] | None:
-        """Serve *plan* from its incremental view, or ``None`` to fall back.
-
-        A view that cannot even full-rebuild — including catalog-shape
-        casualties like a dropped index — is dropped for good; the query
-        falls through to the physical plan.
-        """
-        record = self._incremental.get(id(plan))
-        if record is None:
-            return None
-        view = record[1]
-        start = time.perf_counter()
-        try:
-            rows = view.refresh()
-        except EngineError:
-            self._incremental.pop(id(plan), None)
-            return None
-        return rows, time.perf_counter() - start
 
     def execute_planned(
         self, planned: PlannedQuery, cache_key: int | None = None
@@ -513,10 +419,9 @@ class Executor:
         """Execute one tick's queries through the shared-plan pipeline.
 
         Shared subplans are materialized lazily, at most once, when the
-        first consumer pulls them; queries registered incremental are
-        served from their views exactly as :meth:`execute` would.  The
-        shared store is cleared on both sides of the call — results are
-        only valid against the table state they were computed from.
+        first consumer pulls them.  The shared store is cleared on both
+        sides of the call — results are only valid against the table state
+        they were computed from.
         """
         pipeline = self.prepare_tick(specs)
         self._shared_results.clear()
@@ -528,19 +433,7 @@ class Executor:
                 start = time.perf_counter()
                 rows: list[dict[str, Any]] | None = None
                 partials: list[EffectPartial] | None = None
-                served = self._refresh_incremental(spec.plan)
-                if served is not None:
-                    view_rows, _ = served
-                    if spec.combinator:
-                        partials = fold_rows_to_partials(
-                            view_rows,
-                            spec.combinator,
-                            spec.target_column,
-                            spec.value_column,
-                        )
-                    else:
-                        rows = view_rows
-                elif entry.sink is not None:
+                if entry.sink is not None:
                     partials = entry.sink.partials()
                 else:
                     rows = entry.physical.rows()
@@ -639,7 +532,7 @@ class Executor:
     def cache_report(self) -> list[dict[str, Any]]:
         """Execution counts and mean runtimes of cached plans."""
         report = []
-        for key, entry in self._cache.items():
+        for entry in self._cache.values():
             mean = entry.total_runtime / entry.executions if entry.executions else 0.0
             report.append(
                 {
@@ -648,21 +541,8 @@ class Executor:
                     "mean_runtime": mean,
                     "estimated_cost": entry.planned.estimated.cost,
                     "batch": entry.planned.uses_batch,
-                    "incremental": key in self._incremental,
                 }
             )
-        return report
-
-    def incremental_report(self) -> list[dict[str, Any]]:
-        """Refresh statistics for every registered incremental view."""
-        report = []
-        for key, (_plan, view) in self._incremental.items():
-            entry = self._cache.get(key)
-            stats = view.stats()
-            stats["plan"] = (
-                entry.planned.optimized.node_label() if entry is not None else "?"
-            )
-            report.append(stats)
         return report
 
     def fixpoint_report(self) -> dict[str, int]:

@@ -21,21 +21,6 @@ from repro.engine.operators.fixpoint import (
     RecursiveCell,
     RecursiveSourceOp,
 )
-from repro.engine.operators.incremental import (
-    BandIndexProbe,
-    DeltaAggregateOp,
-    DeltaFilterOp,
-    DeltaJoinOp,
-    DeltaOperator,
-    DeltaProjectOp,
-    DeltaScanOp,
-    DeltaUnionOp,
-    DeltaUnavailable,
-    DeltaValuesOp,
-    IncrementalDisabled,
-    IncrementalError,
-    IncrementalView,
-)
 from repro.engine.operators.joins import (
     BandJoinOp,
     CrossJoinOp,
@@ -50,7 +35,6 @@ from repro.engine.operators.shared import (
     BatchSharedSourceOp,
     EffectSinkOp,
     MaterializedSourceOp,
-    fold_rows_to_partials,
 )
 from repro.engine.operators.scan import (
     IndexEqualityScanOp,
@@ -96,18 +80,4 @@ __all__ = [
     "MaterializedSourceOp",
     "BatchSharedSourceOp",
     "EffectSinkOp",
-    "fold_rows_to_partials",
-    "BandIndexProbe",
-    "DeltaOperator",
-    "DeltaScanOp",
-    "DeltaValuesOp",
-    "DeltaFilterOp",
-    "DeltaProjectOp",
-    "DeltaJoinOp",
-    "DeltaAggregateOp",
-    "DeltaUnionOp",
-    "DeltaUnavailable",
-    "IncrementalError",
-    "IncrementalDisabled",
-    "IncrementalView",
 ]

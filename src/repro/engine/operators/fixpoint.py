@@ -7,14 +7,12 @@ share one operator:
 
 * **semi-naive** (the default): each round binds the step's
   :class:`~repro.engine.algebra.RecursiveRef` to the *previous round's
-  delta* only, so per-round work is proportional to the frontier — the
-  same delta discipline as the PR-2 incremental operators, applied to
-  recursion instead of churn.
+  delta* only, so per-round work is proportional to the frontier.
 * **naive** (``semi_naive=False``, the ``reference`` preset): each round
   binds the full accumulated relation.  Semantically identical, used as
   the parity oracle and the benchmark baseline.
 * **incremental re-closure**: when only *insertions* hit the step's base
-  tables since the last execution (detected through the PR-2
+  tables since the last execution (detected through the
   ``Table.changes_since`` change log), the cached closure warm-restarts —
   per-table delta variants of the step derive the new frontier from just
   the inserted rows, then normal semi-naive rounds propagate it.  Any
@@ -38,7 +36,6 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 from repro.engine.errors import ExecutionError
 from repro.engine.expressions import Expression
 from repro.engine.operators.base import PhysicalOperator
-from repro.engine.operators.incremental import DeltaBatch
 from repro.engine.schema import Schema
 from repro.engine.table import Table
 
@@ -258,7 +255,6 @@ class FixpointOp(PhysicalOperator):
         base_tables: Sequence[Table] = (),
         step_tables: Sequence[Table] = (),
         delta_variants: Sequence[_DeltaVariant] = (),
-        warm_restart: bool = True,
     ):
         if step_op is None and linear_step is None:
             raise ExecutionError("fixpoint needs a step operator or a linear step")
@@ -279,11 +275,7 @@ class FixpointOp(PhysicalOperator):
         self.base_tables = tuple(base_tables)
         self.step_tables = tuple(step_tables)
         self.delta_variants = tuple(delta_variants)
-        #: Allow warm restarts from the cached closure after insert-only
-        #: churn (disabled under the reference preset and by benchmarks
-        #: measuring the from-scratch baseline).
-        self.warm_restart = warm_restart
-        if self.warm_restart and self.semi_naive:
+        if self.semi_naive:
             for variant in self.delta_variants:
                 variant.table.enable_change_log()
             if self.linear_step is not None:
@@ -358,7 +350,6 @@ class FixpointOp(PhysicalOperator):
         """Re-close from the cached accumulator after insert-only churn."""
         if (
             self._cache is None
-            or not self.warm_restart
             or not self.semi_naive
             or self.distinct_on  # first-derivation-wins is not restartable
             or not self.delta_variants
@@ -374,7 +365,7 @@ class FixpointOp(PhysicalOperator):
         ):
             if old != new and id(table) not in variant_tables:
                 return None  # changed table has no delta variant
-        churn: list[tuple[_DeltaVariant, DeltaBatch]] = []
+        churn: list[tuple[_DeltaVariant, list[dict[str, Any]]]] = []
         for variant in self.delta_variants:
             table = variant.table
             old = cached_versions[n_base + self.step_tables.index(table)]
@@ -385,9 +376,7 @@ class FixpointOp(PhysicalOperator):
             if removed:
                 return None  # deletions are non-monotonic: full recompute
             if added:
-                churn.append(
-                    (variant, DeltaBatch(table.schema.names, added, [], netted=True))
-                )
+                churn.append((variant, added))
         if self.linear_step is not None:
             # Propagation must probe the post-churn build side: a path may
             # cross several new edges, not just the seeding one.  refresh()
@@ -397,8 +386,8 @@ class FixpointOp(PhysicalOperator):
         seed: list[dict[str, Any]] = []
         self.accum_cell.rows = list(acc.values())
         try:
-            for variant, batch in churn:
-                variant.cell.rows = batch.added
+            for variant, added in churn:
+                variant.cell.rows = added
                 try:
                     for row in variant.op.rows():
                         key = self._key_of(row)
@@ -409,7 +398,7 @@ class FixpointOp(PhysicalOperator):
                     variant.cell.rows = ()
         finally:
             self.accum_cell.rows = ()
-        self.last_round_sizes.append(sum(len(b.added) for _, b in churn))
+        self.last_round_sizes.append(sum(len(added) for _, added in churn))
         self.last_delta_rows += len(seed)
         rounds = self._iterate(acc, seed, rounds_done=1)
         self.last_mode = "warm"

@@ -396,8 +396,8 @@ class IndexProbeJoinOp(PhysicalOperator):
     re-checked against *all* bounds before the residual runs.
 
     The index is re-resolved by name on every execution: plans can outlive
-    the index they were built against (an incremental view's frozen full
-    plan, a cached plan raced by the advisor's eviction), so a missing
+    the index they were built against (a cached plan raced by the
+    advisor's eviction), so a missing
     name degrades to any other covering index
     (:meth:`Table.find_index_covering`) and, failing that, to scanning the
     table's row ids per probe — slower, never wrong.

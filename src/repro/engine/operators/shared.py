@@ -30,10 +30,10 @@ and — within one query — fold floats in exactly the unfused sequence.
 When *several* fused queries write the same ``(target, effect)``, merging
 their partials reassociates float addition (``(q1) + (q2)`` instead of
 one left fold), so sums may differ from the unfused path by rounding
-error — the same caveat the delta-maintained views and partitioned
-parallel folding already carry.  Order-*sensitive* combinators
-(``first``/``last``/``collect``) are never sink-fused — the runtime keeps
-those queries on the row-at-a-time effect path.
+error — the same caveat partitioned parallel folding already carries.
+Order-*sensitive* combinators (``first``/``last``/``collect``) are never
+sink-fused — the runtime keeps those queries on the row-at-a-time effect
+path.
 """
 
 from __future__ import annotations
@@ -193,14 +193,3 @@ def _fold_pairs(pairs: Iterable[tuple[Any, Any]], combinator: str) -> list[Effec
         counts[target] += 1
     return [(target, acc, counts[target]) for target, acc in groups.items()]
 
-
-def fold_rows_to_partials(
-    rows: list[dict[str, Any]],
-    combinator: str,
-    target_column: str,
-    value_column: str,
-) -> list[EffectPartial]:
-    """Sink-fold already-materialized rows (incremental-view results)."""
-    return _fold_pairs(
-        ((row[target_column], row[value_column]) for row in rows), combinator
-    )

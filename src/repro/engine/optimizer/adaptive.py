@@ -113,8 +113,8 @@ class IndexAdvisor:
     dimension) or :class:`~repro.engine.indexes.GridIndex` (cell size from
     observed probe widths, else column statistics) for it.  Indexes it
     created are evicted again after ``evict_after`` ticks without any
-    probes — mirroring :class:`IncrementalView`'s self-disable, the
-    structure stops paying rent when the query stops running.
+    probes: the structure stops paying rent when the query stops
+    running.
 
     ``end_tick`` returns ``True`` when the catalog shape changed so the
     caller (:class:`~repro.runtime.world.GameWorld`) can invalidate cached

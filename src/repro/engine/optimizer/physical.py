@@ -158,7 +158,6 @@ class PhysicalPlanner:
         use_batch: bool = True,
         index_advisor: Any = None,
         use_fixpoint: bool = True,
-        fixpoint_incremental: bool = True,
     ):
         self.catalog = catalog
         self.use_indexes = use_indexes
@@ -168,8 +167,10 @@ class PhysicalPlanner:
         #: to the naive reference loop (full accumulator every round).
         self.use_fixpoint = use_fixpoint
         #: Lower per-table delta variants of fixpoint steps so cached
-        #: closures warm-restart after insert-only churn.
-        self.fixpoint_incremental = fixpoint_incremental
+        #: closures warm-restart after insert-only churn.  Benchmarks turn
+        #: it off (before the first execute) to time a cold semi-naive
+        #: comparator; it is not part of :class:`EngineConfig`.
+        self.fixpoint_incremental = True
         #: Binding slots for RecursiveRef leaves, installed while lowering
         #: an enclosing Fixpoint: name -> (cell, positional source names).
         self.recursive_cells: dict[str, tuple[RecursiveCell, Sequence[str] | None]] = {}
@@ -601,7 +602,6 @@ class PhysicalPlanner:
             base_tables=base_tables,
             step_tables=step_tables,
             delta_variants=variants,
-            warm_restart=self.fixpoint_incremental,
         )
 
     def _match_linear_step(

@@ -64,9 +64,7 @@ class Planner:
     (``config=``): ``optimize=False`` skips rewrites and join reordering
     (used by the benchmarks to quantify what the optimizer buys);
     ``use_indexes=False`` forces pure scan plans; ``use_batch=False``
-    forces row-at-a-time plans instead of the columnar batch path.  The
-    old individual boolean keywords still work through the deprecation
-    shim (:func:`~repro.engine.config.resolve_engine_config`).
+    forces row-at-a-time plans instead of the columnar batch path.
     """
 
     def __init__(
@@ -74,15 +72,9 @@ class Planner:
         catalog: Catalog,
         config: EngineConfig | None = None,
         *,
-        optimize: bool | None = None,
-        use_indexes: bool | None = None,
-        use_batch: bool | None = None,
         index_advisor=None,
     ):
-        config = resolve_engine_config(
-            config,
-            {"optimize": optimize, "use_indexes": use_indexes, "use_batch": use_batch},
-        )
+        config = resolve_engine_config(config)
         self.catalog = catalog
         self.config = config
         self.optimize = config.optimize
@@ -93,7 +85,6 @@ class Planner:
             use_batch=config.use_batch,
             index_advisor=index_advisor,
             use_fixpoint=config.use_fixpoint,
-            fixpoint_incremental=config.use_incremental,
         )
 
     def plan(self, logical: LogicalPlan) -> PlannedQuery:
@@ -105,19 +96,6 @@ class Planner:
         physical = self.physical_planner.lower(optimized)
         estimated = self.cost_model.cost(optimized)
         return PlannedQuery(logical, optimized, physical, estimated)
-
-    def build_incremental(self, optimized: LogicalPlan):
-        """Lower *optimized* to a delta-maintained view, or ``None``.
-
-        Returns an :class:`~repro.engine.operators.incremental.IncrementalView`
-        when every node of the plan is provably delta-correct (see
-        :mod:`repro.engine.optimizer.incremental` for the fallback rules).
-        """
-        from repro.engine.optimizer.incremental import IncrementalPlanner
-
-        return IncrementalPlanner(self.catalog, self.physical_planner).build_view(
-            optimized
-        )
 
     def estimate(self, logical: LogicalPlan) -> PlanCost:
         """Cost a logical plan without lowering it (used by adaptive search)."""

@@ -15,9 +15,9 @@ the paper (Section 2):
   by the transaction engine when it needs to evaluate candidate subsets of
   atomic actions (Section 3.1).
 * :meth:`Table.enable_change_log` / :meth:`Table.changes_since` — a bounded
-  per-mutation change log that lets the incremental execution path
-  (:mod:`repro.engine.operators.incremental`) maintain materialized query
-  results from per-tick deltas instead of re-scanning the table.
+  per-mutation change log that lets subscriptions, the write-ahead log and
+  fixpoint warm restarts consume per-tick deltas instead of re-scanning
+  the table.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class Table:
         self._frozen = False
         self._version = 0
         self._batch_cache: "tuple[int, ColumnBatch] | None" = None
-        # Change log for incremental execution: entries are
+        # Change log for delta consumers: entries are
         # ``(version, rowid, old)`` where ``old`` is the row *before* the
         # mutation (a copy) or ``_NOT_PRESENT`` for inserts.  ``None`` until
         # a consumer calls :meth:`enable_change_log`.
@@ -203,7 +203,7 @@ class Table:
         resolved = self.schema.resolve(name)
         return [row[resolved] for row in self._rows.values()]
 
-    # -- change log (incremental execution) ----------------------------------------
+    # -- change log (delta consumers) ----------------------------------------------
 
     def enable_change_log(self, capacity: int | None = None) -> None:
         """Start recording per-mutation deltas for :meth:`changes_since`.
@@ -377,9 +377,8 @@ class Table:
     def changes_pending(self, version: int) -> int | None:
         """Number of logged mutations newer than *version*, or ``None``.
 
-        A cheap probe of the log's serviceability (tests and tooling; the
-        incremental view itself decides churn from the *netted*
-        :meth:`changes_since` result, which this count upper-bounds).
+        A cheap probe of the log's serviceability (tests and tooling); it
+        upper-bounds the size of the *netted* :meth:`changes_since` result.
         """
         if version == self._version:
             return 0
@@ -614,8 +613,8 @@ class Table:
         """The best range-capable index whose key columns are all among
         *columns*.
 
-        The single coverage rule shared by the band-join planner, the
-        incremental band probe and the index advisor: an index over a
+        The single coverage rule shared by the band-join planner and the
+        index advisor: an index over a
         subset of the probe dimensions can still serve ``range_search``
         (uncovered dimensions are re-checked on the fetched rows), so
         among eligible indexes the one covering the most probe columns

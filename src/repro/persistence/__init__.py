@@ -1,7 +1,7 @@
 """Durable persistence for the game-as-database: the segmented delta log.
 
-The engine already computes signed per-tick deltas (the incremental
-execution path) and streams them to subscribers (the service layer); this
+The engine already computes signed per-tick deltas (the table change
+logs) and streams them to subscribers (the service layer); this
 package makes those deltas *durable*.  A :class:`~repro.persistence.log.DeltaLog`
 is an append-only sequence of checksummed records split across segment
 files — the Redis-streams shape: append at the tail, trim whole segments

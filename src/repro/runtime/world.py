@@ -50,7 +50,7 @@ from repro.sgl.ir import ACTOR_COLUMN, EffectAssignment, TARGET_COLUMN, Transact
 from repro.sgl.multitick import pc_variable_name, segment_script
 from repro.sgl.parser import parse_program
 from repro.sgl.schema_gen import KEY_COLUMN, GeneratedSchema, SchemaGenerator, SchemaLayout
-from repro.sgl.semantics import COMBINATOR_ALIASES, AnalyzedProgram, analyze_program
+from repro.sgl.semantics import AnalyzedProgram, analyze_program
 
 __all__ = ["ExecutionMode", "TickReport", "GameWorld"]
 
@@ -90,9 +90,8 @@ class TickReport:
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
     #: Tick-pipeline sharing: shared subplans in the compiled pipeline,
-    #: how many were actually materialized this tick (queries served from
-    #: incremental views pull nothing), and how many subplan evaluations
-    #: sharing avoids per tick versus unshared execution.
+    #: how many were actually materialized this tick, and how many subplan
+    #: evaluations sharing avoids per tick versus unshared execution.
     shared_subplans: int = 0
     shared_subplans_evaluated: int = 0
     shared_evaluations_saved: int = 0
@@ -160,25 +159,8 @@ class GameWorld:
         layout: SchemaLayout = SchemaLayout.SINGLE,
         vertical_groups: Sequence[Sequence[str]] | None = None,
         config: EngineConfig | None = None,
-        *,
-        optimize: bool | None = None,
-        use_indexes: bool | None = None,
-        use_batch: bool | None = None,
-        use_incremental: bool | None = None,
-        auto_index: bool | None = None,
-        use_mqo: bool | None = None,
     ):
-        config = resolve_engine_config(
-            config,
-            {
-                "optimize": optimize,
-                "use_indexes": use_indexes,
-                "use_batch": use_batch,
-                "use_incremental": use_incremental,
-                "auto_index": auto_index,
-                "use_mqo": use_mqo,
-            },
-        )
+        config = resolve_engine_config(config)
         self.config = config
         self.program = parse_program(source) if isinstance(source, str) else source
         self.analyzed: AnalyzedProgram = analyze_program(self.program)
@@ -209,10 +191,6 @@ class GameWorld:
         #: queries through the executor's shared-subplan pipeline with
         #: in-engine effect aggregation, instead of one-query-at-a-time.
         self.use_mqo = config.use_mqo
-        #: Compiled queries already offered to the incremental planner,
-        #: keyed by their stable ``query_id`` (``id()`` keys are unsafe:
-        #: a recycled id would silently skip or double-consider a query).
-        self._incremental_considered: set[str] = set()
         self.interpreter = ScriptInterpreter(self.analyzed)
         self.compiler = SGLCompiler(self.analyzed, self.schemas, self.schema_generator)
         self._compiled: CompiledProgram | None = None
@@ -723,38 +701,8 @@ class GameWorld:
 
     #: Effect combinators whose combined value depends on assignment order.
     #: Queries feeding them must see full-execution row order, so they are
-    #: never registered for incremental (multiset-maintained) execution.
+    #: never sink-fused (see :meth:`_sink_combinator`).
     _ORDER_SENSITIVE_COMBINATORS = frozenset({"first", "last", "collect"})
-
-    def _maybe_register_incremental(self, query: Any) -> None:
-        """Offer one compiled effect query to the incremental planner.
-
-        Registration is per-query and sticky, memoized on the compiler's
-        stable ``query_id`` — ``id(query)`` values can be recycled after
-        garbage collection, which would silently skip a fresh query or
-        re-consider a dead one.  Transactional queries are skipped (the
-        transaction engine observes row order when resolving conflicts),
-        as are queries whose target effect combines with an
-        order-sensitive combinator; everything else is handed to
-        :meth:`Executor.register_incremental`, which itself declines plans
-        it cannot prove delta-correct.
-        """
-        key = query.query_id or f"anon:{id(query)}"
-        if key in self._incremental_considered:
-            return
-        self._incremental_considered.add(key)
-        if query.transactional:
-            return
-        if not query.set_insert:  # a set-insert always combines with union
-            decl = next(
-                (d for d in self.program.classes if d.name == query.target_class), None
-            )
-            effect = decl.effect_field(query.effect) if decl is not None else None
-            if effect is not None:
-                combinator = COMBINATOR_ALIASES.get(effect.combinator, effect.combinator)
-                if combinator in self._ORDER_SENSITIVE_COMBINATORS:
-                    return
-        self.executor.register_incremental(query.plan)
 
     def _tick_queries(self) -> list[Any]:
         """The tick's effect queries in execution order (scripts as enabled,
@@ -771,8 +719,7 @@ class GameWorld:
 
         Transactional queries need per-row actor columns for transaction
         reassembly, and order-sensitive combinators need full-execution
-        row order through the store — both keep the row path (the same
-        fallback discipline as the incremental and index-probe paths).
+        row order through the store — both keep the row path.
         """
         if query.transactional:
             return None
@@ -788,8 +735,6 @@ class GameWorld:
         pending_constraints: dict[tuple[str, int, Any], tuple[SglExpression, ...]] = {}
         pending_class: dict[tuple[str, int, Any], str] = {}
         queries = self._tick_queries()
-        for query in queries:
-            self._maybe_register_incremental(query)
 
         def consume_rows(query: Any, rows: Iterable[Mapping[str, Any]]) -> None:
             for row in rows:
@@ -852,7 +797,8 @@ class GameWorld:
     def _run_interpreted(
         self, store: EffectStore, transactions: list[TransactionRequest]
     ) -> None:
-        pc_updates: list[StateUpdate] = []
+        # Program counters advance in the scheduler update component, which
+        # runs for both execution modes.
         for script_name in self._enabled_scripts:
             script = self.program.script_named(script_name)
             assert script is not None
@@ -863,9 +809,6 @@ class GameWorld:
                 result, _ = self.interpreter.run_script(script_name, row, self, pc)
                 store.add_all(result.effects)
                 transactions.extend(result.transactions)
-        # Program counters advance in the scheduler update component, which
-        # runs for both execution modes.
-        del pc_updates
 
     # -- update application ------------------------------------------------------------------------------
 

@@ -18,9 +18,8 @@ computations instead:
   (:meth:`Table.open_cursor`): the tick's net row changes are filtered by
   the standing predicate — no query execution at all.  Any other plan
   re-executes once per tick through the shared
-  :class:`~repro.engine.executor.Executor` — served from a registered
-  :class:`IncrementalView` when the planner could prove one correct — and
-  the result is multiset-diffed against the previous tick's.
+  :class:`~repro.engine.executor.Executor` and the result is
+  multiset-diffed against the previous tick's.
 
 * **Resync.**  A lost change-log delta (capacity overflow, ``clear`` /
   ``restore`` / schema replacement) or an outbox overflow breaks a stream;
@@ -113,12 +112,10 @@ class StandingQueryGroup:
         self.evaluations = 0
         self.lost_deltas = 0
         #: Whether teardown may release the plan's executor state.  A plan
-        #: the executor already knew (cached or registered incremental —
-        #: e.g. a client subscribing one of the world's own SGL effect
-        #: queries) belongs to that earlier owner, not to this group.
-        self.owns_plan = (
-            id(plan) not in executor._cache and id(plan) not in executor._incremental
-        )
+        #: the executor already had cached (e.g. a client subscribing one
+        #: of the world's own SGL effect queries) belongs to that earlier
+        #: owner, not to this group.
+        self.owns_plan = id(plan) not in executor._cache
 
         source = self._filter_chain(plan)
         if source is not None:
@@ -128,10 +125,6 @@ class StandingQueryGroup:
             self._scan_alias = alias
             self._predicates = predicates
         else:
-            # Best effort: a provably delta-maintainable plan is refreshed
-            # from table deltas instead of re-executed (the executor serves
-            # the view transparently through ``execute``).
-            executor.register_incremental(plan)
             self._reset_prev(self._execute())
 
     @property
@@ -524,8 +517,8 @@ class SubscriptionManager:
             owner.subscribers.pop(subscription_id, None)
             if not owner.subscribers:
                 self._groups.pop(owner.fingerprint, None)
-                # Release the executor state the group accumulated (cached
-                # plan, incremental view) — churning subscribers must not
+                # Release the executor state the group accumulated (its
+                # cached plan) — churning subscribers must not
                 # grow the executor monotonically.  Plans the executor knew
                 # before the group existed stay: they belong to the world.
                 if owner.owns_plan:

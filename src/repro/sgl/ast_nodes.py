@@ -217,7 +217,7 @@ class ReachLoop(Statement):
     closure.  ``iterate N`` caps the number of expansion rounds (N hops).
 
     The compiler lowers this to a :class:`~repro.engine.algebra.Fixpoint`
-    plan, so closures plan, MQO-share, and incrementalize like any other
+    plan, so closures plan, MQO-share, and warm-restart like any other
     query; the interpreter runs a reference BFS.
     """
 

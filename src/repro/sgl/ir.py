@@ -95,8 +95,8 @@ class EffectQuery:
     description: str = ""
     #: Stable identity ``script/segment/site`` assigned by the compiler.
     #: Unlike ``id(query)`` it survives garbage collection and recompiles,
-    #: so the runtime can memoize per-query decisions (incremental
-    #: registration, tick-pipeline membership) without id-reuse hazards.
+    #: so the runtime can key per-query decisions (tick-pipeline
+    #: membership) without id-reuse hazards.
     query_id: str = ""
     #: Resolved ⊕ combinator of the target effect (aliases normalized;
     #: ``union`` for set-inserts).  Lets the engine fuse effect

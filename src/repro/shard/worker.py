@@ -1,8 +1,8 @@
 """Shard worker: one process owning one spatial slice of the world.
 
 Each worker runs a full single-process :class:`~repro.runtime.world.GameWorld`
-— batch path, incremental views, MQO, index advisor, kernels, fixpoint
-and subscriptions all compose unchanged — over the rows it owns plus
+— batch path, MQO, index advisor, kernels, fixpoint and subscriptions
+all compose unchanged — over the rows it owns plus
 short-lived **ghost** replicas of boundary rows received from its
 neighbours.  One sharded tick is three phases, driven by the coordinator
 (a bulk-synchronous barrier between each):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from repro.engine.config import EngineConfig, resolve_engine_config
+from repro.engine.config import EngineConfig
 from repro.runtime.transactions import TransactionEngine
 from repro.runtime.world import ExecutionMode, GameWorld
 
@@ -62,9 +62,6 @@ def build_marketplace_world(
     seed: int = 11,
     *,
     config: EngineConfig | None = None,
-    use_batch: bool | None = None,
-    use_incremental: bool | None = None,
-    use_mqo: bool | None = None,
 ) -> GameWorld:
     """A marketplace with ``n_buyers`` buyers contending over shared sellers.
 
@@ -72,10 +69,6 @@ def build_marketplace_world(
     ``seller_stock`` items — so at most ``seller_stock`` of them can succeed
     per seller before the ``stock >= 0`` constraint aborts the rest.
     """
-    config = resolve_engine_config(
-        config,
-        {"use_batch": use_batch, "use_incremental": use_incremental, "use_mqo": use_mqo},
-    )
     world = GameWorld(MARKET_SOURCE, mode=mode, config=config)
     engine = TransactionEngine(
         owned={"Trader": {"gold_delta": "gold", "stock_delta": "stock"}},

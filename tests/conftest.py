@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.engine import Catalog, Column, DataType, Schema
+from repro.engine import Catalog, Column, DataType, EngineConfig, Schema
 
 
 @pytest.fixture
@@ -37,6 +37,19 @@ def unit_catalog() -> Catalog:
             }
         )
     return catalog
+
+
+@pytest.fixture
+def env_config():
+    """``env_config(**flags)``: the ``REPRO_ENGINE_PRESET`` config with
+    ``flags`` overridden.  Path-parity tests build their configs this way
+    so they keep running under whichever preset the suite runs with (CI's
+    fastest leg adds compiled kernels to both sides of every comparison)."""
+
+    def make(**flags) -> EngineConfig:
+        return EngineConfig.from_env().replace(**flags)
+
+    return make
 
 
 SIMPLE_GAME = """

@@ -232,15 +232,15 @@ PLANS = {
 
 
 @pytest.mark.parametrize("name", sorted(PLANS))
-def test_batch_row_equivalence(name):
+def test_batch_row_equivalence(name, env_config):
     catalog = _make_catalog()
     plan = PLANS[name]()
-    row_rows = Executor(catalog, use_batch=False).execute(plan).rows
-    batch_rows = Executor(catalog, use_batch=True).execute(plan).rows
+    row_rows = Executor(catalog, config=env_config(use_batch=False)).execute(plan).rows
+    batch_rows = Executor(catalog, config=env_config(use_batch=True)).execute(plan).rows
     assert _norm(batch_rows) == _norm(row_rows)
 
 
-def test_order_sensitive_equivalence():
+def test_order_sensitive_equivalence(env_config):
     """first/last/collect aggregates observe input order: must match exactly."""
     catalog = _make_catalog()
     plan = Aggregate(
@@ -252,20 +252,20 @@ def test_order_sensitive_equivalence():
             AggregateSpec("ids", "collect", col("id")),
         ],
     )
-    row_rows = Executor(catalog, use_batch=False).execute(plan).rows
-    batch_rows = Executor(catalog, use_batch=True).execute(plan).rows
+    row_rows = Executor(catalog, config=env_config(use_batch=False)).execute(plan).rows
+    batch_rows = Executor(catalog, config=env_config(use_batch=True)).execute(plan).rows
     assert _norm(batch_rows) == _norm(row_rows)
 
 
-def test_batch_path_is_chosen_and_flagged():
+def test_batch_path_is_chosen_and_flagged(env_config):
     catalog = _make_catalog()
     plan = PLANS["filter-project"]()
-    executor = Executor(catalog, use_batch=True)
+    executor = Executor(catalog, config=env_config(use_batch=True))
     planned = executor.prepare(plan)
     assert planned.uses_batch
     assert isinstance(planned.physical, BatchBridgeOp)
     assert "Batch" in planned.physical.explain()
-    row_planned = Executor(catalog, use_batch=False).prepare(plan)
+    row_planned = Executor(catalog, config=env_config(use_batch=False)).prepare(plan)
     assert not row_planned.uses_batch
 
 
@@ -280,7 +280,7 @@ def test_batch_cache_invalidated_on_mutation():
     assert len(second) == 11
 
 
-def test_empty_table_aggregate_identity():
+def test_empty_table_aggregate_identity(env_config):
     catalog = Catalog()
     catalog.create_table("empty", Schema([Column("v", DataType.NUMBER)]))
     plan = Aggregate(
@@ -289,7 +289,7 @@ def test_empty_table_aggregate_identity():
         [AggregateSpec("n", "count"), AggregateSpec("s", "sum", col("v"))],
     )
     for use_batch in (False, True):
-        rows = Executor(catalog, use_batch=use_batch).execute(plan).rows
+        rows = Executor(catalog, config=env_config(use_batch=use_batch)).execute(plan).rows
         assert rows == [{"n": 0, "s": 0}]
 
 
@@ -314,23 +314,23 @@ def _assert_world_equivalence(make_world, ticks=3):
     return batch_world
 
 
-def test_rts_workload_equivalence():
+def test_rts_workload_equivalence(env_config):
     world = _assert_world_equivalence(
         lambda use_batch: build_rts_world(
-            60, mode=ExecutionMode.COMPILED, use_batch=use_batch
+            60, mode=ExecutionMode.COMPILED, config=env_config(use_batch=use_batch)
         )
     )
     # The tick queries should actually exercise the batch path somewhere.
     assert any(entry["batch"] for entry in world.executor.cache_report())
 
 
-def test_traffic_workload_equivalence():
+def test_traffic_workload_equivalence(env_config):
     _assert_world_equivalence(
-        lambda use_batch: build_traffic_world(80, use_batch=use_batch)
+        lambda use_batch: build_traffic_world(80, config=env_config(use_batch=use_batch))
     )
 
 
-def test_marketplace_workload_equivalence():
+def test_marketplace_workload_equivalence(env_config):
     _assert_world_equivalence(
-        lambda use_batch: build_marketplace_world(30, use_batch=use_batch)
+        lambda use_batch: build_marketplace_world(30, config=env_config(use_batch=use_batch))
     )

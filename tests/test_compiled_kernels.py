@@ -26,7 +26,7 @@ from repro.engine.indexes import GridIndex
 from repro.engine.compile import KernelOp
 from repro.persistence.replay import replay_tables
 
-INTERP = EngineConfig(use_incremental=False)
+INTERP = EngineConfig()
 COMPILED = INTERP.replace(use_compiled=True)
 
 

@@ -1,28 +1,33 @@
 """EngineConfig: the one public switchboard for engine feature paths.
 
 Covers the consolidation contract: presets, the ``REPRO_ENGINE_PRESET``
-environment hook, the deprecation shim that maps the old scattered
-``use_*`` booleans onto a config object (round-tripping their values
-exactly), and the plumbing — one config object threaded through
-``GameWorld`` → ``Executor`` → ``Planner`` and surfaced by the inspector.
+environment hook, the rejection of the old scattered ``use_*`` keyword
+arguments (``config=`` is the only way in), and the plumbing — one config
+object threaded through ``GameWorld`` → ``Executor`` → ``Planner`` and
+surfaced by the inspector.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-from repro.engine import EngineConfig, Executor, resolve_engine_config
+from repro.engine import EngineConfig, Executor
 from repro.engine.optimizer.planner import Planner
 from repro.runtime.debug.inspector import TickInspector
-from repro.workloads import build_rts_world
+from repro.runtime.world import GameWorld
+from repro.workloads import (
+    RTS_SOURCE,
+    build_contagion_world,
+    build_marketplace_world,
+    build_rts_world,
+    build_traffic_world,
+)
 
 
 class TestPresets:
     def test_defaults(self):
         config = EngineConfig()
-        assert config.optimize and config.use_batch and config.use_incremental
+        assert config.optimize and config.use_batch
         assert config.use_mqo and config.use_indexes and config.auto_index
         assert not config.use_compiled  # opt-in until the preset asks
 
@@ -34,7 +39,6 @@ class TestPresets:
     def test_reference_is_row_path_only(self):
         config = EngineConfig.reference()
         assert not config.use_batch
-        assert not config.use_incremental
         assert not config.use_mqo
         assert not config.use_indexes
         assert not config.use_compiled
@@ -107,51 +111,31 @@ class TestFromEnv:
         assert world.executor.planner.config.use_fixpoint == config.use_fixpoint
 
 
-class TestDeprecationShim:
-    def test_legacy_flags_round_trip(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE_PRESET", raising=False)
-        with pytest.warns(DeprecationWarning, match="use_batch"):
-            config = resolve_engine_config(None, {"use_batch": False, "optimize": None})
-        assert not config.use_batch
-        assert config == EngineConfig(use_batch=False)
-
-    def test_single_warning_names_all_flags(self):
-        with pytest.warns(DeprecationWarning) as record:
-            resolve_engine_config(None, {"use_batch": False, "use_mqo": False})
-        assert len(record) == 1
-        message = str(record[0].message)
-        assert "use_batch" in message and "use_mqo" in message
-
-    def test_config_passthrough_emits_no_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config = resolve_engine_config(EngineConfig.debug(), {"use_batch": None})
-        assert config == EngineConfig.debug()
-
-    def test_unknown_flag_raises(self):
-        with pytest.raises(TypeError, match="use_warp"):
-            resolve_engine_config(None, {"use_warp": True})
-
-    def test_legacy_flag_overrides_explicit_config(self):
-        with pytest.warns(DeprecationWarning):
-            config = resolve_engine_config(EngineConfig.fastest(), {"use_compiled": False})
-        assert not config.use_compiled
-
-    def test_executor_legacy_kwarg_warns_and_applies(self, unit_catalog):
-        with pytest.warns(DeprecationWarning, match="use_batch"):
-            executor = Executor(unit_catalog, use_batch=False)
-        assert not executor.config.use_batch
-
-    def test_planner_legacy_kwarg_warns_and_applies(self, unit_catalog):
-        with pytest.warns(DeprecationWarning, match="use_indexes"):
-            planner = Planner(unit_catalog, use_indexes=False)
-        assert not planner.config.use_indexes
-
-    def test_world_legacy_kwarg_warns_and_applies(self):
-        with pytest.warns(DeprecationWarning, match="use_mqo"):
-            world = build_rts_world(5, with_physics=False, use_mqo=False)
-        assert not world.config.use_mqo
-        assert not world.use_mqo
+class TestLegacyKeywordsRejected:
+    @pytest.mark.parametrize(
+        "construct",
+        [
+            lambda catalog: GameWorld(RTS_SOURCE, use_batch=False),
+            lambda catalog: Executor(catalog, use_batch=False),
+            lambda catalog: Planner(catalog, use_batch=False),
+            lambda catalog: build_rts_world(5, use_batch=False),
+            lambda catalog: build_traffic_world(5, use_batch=False),
+            lambda catalog: build_marketplace_world(5, use_batch=False),
+            lambda catalog: build_contagion_world(5, use_batch=False),
+        ],
+        ids=[
+            "GameWorld",
+            "Executor",
+            "Planner",
+            "build_rts_world",
+            "build_traffic_world",
+            "build_marketplace_world",
+            "build_contagion_world",
+        ],
+    )
+    def test_legacy_keyword_raises_type_error(self, unit_catalog, construct):
+        with pytest.raises(TypeError, match="use_batch"):
+            construct(unit_catalog)
 
 
 class TestThreading:

@@ -273,9 +273,9 @@ class TestOptimizer:
         }
         assert {r["self.id"]: r["cnt"] for r in rows} == expected
 
-    def test_unoptimized_planner_still_correct(self, unit_catalog):
-        fast = Executor(unit_catalog, optimize=True)
-        slow = Executor(unit_catalog, optimize=False)
+    def test_unoptimized_planner_still_correct(self, unit_catalog, env_config):
+        fast = Executor(unit_catalog, config=env_config(optimize=True))
+        slow = Executor(unit_catalog, config=env_config(optimize=False))
         plan = self.fig2_plan()
         fast_rows = {(r["self.id"], r["cnt"]) for r in fast.execute(plan).rows}
         slow_rows = {(r["self.id"], r["cnt"]) for r in slow.execute(plan, cache=False).rows}
@@ -296,7 +296,7 @@ class TestOptimizer:
         assert len(graph.relations) == 3
         assert len(graph.predicates) == 2
 
-    def test_reorder_preserves_results(self, unit_catalog):
+    def test_reorder_preserves_results(self, unit_catalog, env_config):
         cost_model = CostModel(unit_catalog)
         plan = Select(
             Join(
@@ -311,7 +311,7 @@ class TestOptimizer:
             col("a.health").gt(lit(90)),
         )
         reordered = reorder_joins(split_conjunctions(plan), unit_catalog, cost_model)
-        executor = Executor(unit_catalog, optimize=False)
+        executor = Executor(unit_catalog, config=env_config(optimize=False))
         original = executor.execute(plan, cache=False).rows
         new = executor.execute(reordered, cache=False).rows
         assert len(original) == len(new)

@@ -127,11 +127,11 @@ class TestPartitionKeyTotality:
 
 class TestParallelWorldEquivalence:
     """PartitionedExecutor must agree with serial execution on every
-    compiled effect query of the rts and traffic workloads (the batch and
-    incremental paths already have whole-world equivalence coverage)."""
+    compiled effect query of the rts and traffic workloads (the batch path
+    already has whole-world equivalence coverage)."""
 
     def _assert_queries_equivalent(self, world, outer_table: str) -> None:
-        serial = Executor(world.catalog, use_incremental=False)
+        serial = Executor(world.catalog)
         parallel = PartitionedExecutor(world.catalog, n_workers=3)
         checked = 0
         for script_name in world.enabled_scripts():

@@ -120,10 +120,8 @@ class TestSemiNaiveEquivalence:
         rows = random_edge_rows(rng, n_nodes=40, n_edges=90)
         catalog, _ = edges_catalog(rows)
         plan = closure_plan()
-        semi = Executor(catalog, EngineConfig(use_incremental=False))
-        naive = Executor(
-            catalog, EngineConfig(use_incremental=False, use_fixpoint=False)
-        )
+        semi = Executor(catalog, EngineConfig())
+        naive = Executor(catalog, EngineConfig(use_fixpoint=False))
         expected = bfs_closure(rows)
         assert nodes(semi.execute(plan)) == expected
         assert nodes(naive.execute(plan)) == expected
@@ -131,7 +129,7 @@ class TestSemiNaiveEquivalence:
     def test_iterate_cap_bounds_the_radius(self):
         rows = [{"src": i, "dst": i + 1} for i in range(10)]
         catalog, _ = edges_catalog(rows)
-        executor = Executor(catalog, EngineConfig(use_incremental=False))
+        executor = Executor(catalog, EngineConfig())
         assert nodes(executor.execute(closure_plan(max_rounds=3))) == {0, 1, 2, 3}
         assert nodes(executor.execute(closure_plan())) == set(range(11))
 
@@ -140,7 +138,7 @@ class TestSemiNaiveEquivalence:
         convergence), so the counters expose the per-round frontier size."""
         rows = [{"src": i, "dst": i + 1} for i in range(5)]
         catalog, _ = edges_catalog(rows)
-        executor = Executor(catalog, EngineConfig(use_incremental=False))
+        executor = Executor(catalog, EngineConfig())
         executor.execute(closure_plan())
         report = executor.fixpoint_report()
         assert report["operators"] == 1
@@ -160,7 +158,7 @@ class TestSemiNaiveEquivalence:
 class TestCachingAndWarmRestart:
     def test_unchanged_tables_hit_the_version_cache(self):
         catalog, _ = edges_catalog([{"src": i, "dst": i + 1} for i in range(20)])
-        executor = Executor(catalog, EngineConfig(use_incremental=False))
+        executor = Executor(catalog, EngineConfig())
         plan = closure_plan()
         first = nodes(executor.execute(plan))
         rounds = executor.fixpoint_report()["total_rounds"]
@@ -275,6 +273,14 @@ class TestGridReachability:
         assert reach.reachable_set((0, 0)) == {(x, 0) for x in range(6)}
         assert reach.fixpoint_counters()["warm_restarts"] == 1
 
+    def test_naive_reference_preset_never_warm_restarts(self):
+        grid = GridMap(6, 1, obstacles={(3, 0)})
+        reach = GridReachability(grid, EngineConfig.reference())
+        reach.reachable_set((0, 0))
+        reach.clear_obstacles([(3, 0)])
+        assert reach.reachable_set((0, 0)) == {(x, 0) for x in range(6)}
+        assert reach.fixpoint_counters()["warm_restarts"] == 0
+
     def test_repeat_queries_hit_the_result_cache(self):
         grid = GridMap(4, 4)
         reach = GridReachability(grid)
@@ -287,7 +293,7 @@ class TestGridReachability:
         table = grid_edges_table(grid)
         catalog = Catalog()
         catalog.register_table(table)
-        executor = Executor(catalog, EngineConfig(use_incremental=False))
+        executor = Executor(catalog, EngineConfig())
         plan = reachability_plan(grid.cell_id((0, 0)), max_rounds=2)
         reached = {grid.cell_at(row["node"]) for row in executor.execute(plan).rows}
         assert reached == {

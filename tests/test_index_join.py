@@ -2,9 +2,8 @@
 
 Covers the index-probing band join (`IndexProbeJoinOp`), its plan-time
 selection against registered `GridIndex` / `RangeTreeIndex` / `SortedIndex`
-structures, the index advisor's create/evict policy, the incremental
-delta-join's index probing for the unchanged side, and the regression for
-`RangeProbeJoinOp`'s degenerate cell-size estimate.
+structures, the index advisor's create/evict policy, and the regression
+for `RangeProbeJoinOp`'s degenerate cell-size estimate.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.engine import (
 )
 from repro.engine.indexes import GridIndex, HashIndex, RangeTreeIndex, SortedIndex
 from repro.engine.operators import (
-    DeltaJoinOp,
     IndexProbeJoinOp,
     RangeProbeJoinOp,
     ValuesOp,
@@ -138,18 +136,18 @@ class TestIndexProbePlanning:
         ops = _join_ops(Executor(catalog, EngineConfig()), band_plan())
         assert any(isinstance(op, RangeProbeJoinOp) for op in ops)
 
-    def test_use_indexes_false_forces_rebuild_path(self):
+    def test_use_indexes_false_forces_rebuild_path(self, env_config):
         catalog = _make_catalog()
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
-        ops = _join_ops(Executor(catalog, use_indexes=False), band_plan())
+        ops = _join_ops(Executor(catalog, config=env_config(use_indexes=False)), band_plan())
         assert not any(isinstance(op, IndexProbeJoinOp) for op in ops)
 
 
 class TestIndexProbeEquivalence:
-    def _assert_equivalent(self, catalog, plan):
-        indexed = Executor(catalog, use_incremental=False)
-        batch = Executor(catalog, use_indexes=False, use_incremental=False)
-        row = Executor(catalog, use_indexes=False, use_batch=False, use_incremental=False)
+    def _assert_equivalent(self, catalog, plan, env_config):
+        indexed = Executor(catalog)
+        batch = Executor(catalog, config=env_config(use_indexes=False))
+        row = Executor(catalog, config=env_config(use_indexes=False, use_batch=False))
         assert any(isinstance(op, IndexProbeJoinOp) for op in _join_ops(indexed, plan))
         rows_indexed = indexed.execute(plan, cache=False).rows
         rows_batch = batch.execute(plan, cache=False).rows
@@ -157,29 +155,29 @@ class TestIndexProbeEquivalence:
         assert _normalized(rows_indexed) == _normalized(rows_batch) == _normalized(rows_row)
         assert rows_indexed, "scenario produced no matches; test would be vacuous"
 
-    def test_grid_index_equivalence_with_null_coordinates(self):
+    def test_grid_index_equivalence_with_null_coordinates(self, env_config):
         catalog = _make_catalog(with_nulls=True)
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
-        self._assert_equivalent(catalog, band_plan())
+        self._assert_equivalent(catalog, band_plan(), env_config)
 
-    def test_sorted_index_equivalence(self):
+    def test_sorted_index_equivalence(self, env_config):
         catalog = _make_catalog(with_nulls=True)
         catalog.create_index("unit", "by_x", SortedIndex("x"))
-        self._assert_equivalent(catalog, band_plan())
+        self._assert_equivalent(catalog, band_plan(), env_config)
 
-    def test_inner_select_is_folded_into_residual(self):
+    def test_inner_select_is_folded_into_residual(self, env_config):
         catalog = _make_catalog()
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
         plan = band_plan(inner_filter=col("u.health").gt(lit(40)))
-        self._assert_equivalent(catalog, plan)
+        self._assert_equivalent(catalog, plan, env_config)
 
-    def test_equivalence_under_churn(self):
+    def test_equivalence_under_churn(self, env_config):
         catalog = _make_catalog()
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
         table = catalog.table("unit")
         plan = band_plan()
-        indexed = Executor(catalog, use_incremental=False)
-        row = Executor(catalog, use_indexes=False, use_batch=False, use_incremental=False)
+        indexed = Executor(catalog)
+        row = Executor(catalog, config=env_config(use_indexes=False, use_batch=False))
         rng = random.Random(11)
         for tick in range(6):
             rowids = list(table.row_ids())
@@ -204,39 +202,24 @@ class TestIndexProbeEquivalence:
 
 class TestEvictedIndexResilience:
     """Regression: plans can outlive the index they were built against —
-    an incremental view's frozen full plan, or a cached plan raced by the
-    advisor's eviction — and a full rebuild then resolved the dropped
-    index by name and crashed the tick with CatalogError.  The operator
-    now degrades (another covering index, else a per-probe row scan)."""
+    a cached plan raced by the advisor's eviction — and re-execution then
+    resolved the dropped index by name and crashed the tick with
+    CatalogError.  The operator now degrades (another covering index, else
+    a per-probe row scan)."""
 
-    def test_cached_plan_survives_index_drop(self):
+    def test_cached_plan_survives_index_drop(self, env_config):
         catalog = _make_catalog()
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
         plan = band_plan()
-        executor = Executor(catalog, use_incremental=False)
+        executor = Executor(catalog)
         expected = _normalized(
-            Executor(catalog, use_indexes=False, use_batch=False, use_incremental=False)
+            Executor(catalog, config=env_config(use_indexes=False, use_batch=False))
             .execute(plan)
             .rows
         )
         assert _normalized(executor.execute(plan).rows) == expected
         catalog.drop_index("unit", "xy")  # cached plan still names "xy"
         assert _normalized(executor.execute(plan).rows) == expected
-
-    def test_incremental_full_rebuild_survives_index_drop(self):
-        catalog = _make_catalog()
-        catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
-        table = catalog.table("unit")
-        plan = band_plan()
-        inc = Executor(catalog)
-        assert inc.register_incremental(plan)
-        inc.execute(plan)  # seeds the view; its full plan probes "xy"
-        catalog.drop_index("unit", "xy")
-        # A bulk rewrite resets the change log, forcing the next refresh
-        # through a full rebuild of the frozen full plan.
-        table.restore(table.snapshot())
-        ref = Executor(catalog, use_indexes=False, use_batch=False, use_incremental=False)
-        assert _normalized(inc.execute(plan).rows) == _normalized(ref.execute(plan).rows)
 
 
 class TestStrictBandBounds:
@@ -266,27 +249,20 @@ class TestStrictBandBounds:
         )
         return Select(join, predicate)
 
-    def test_strict_bounds_exclude_boundary_rows_on_every_path(self):
+    def test_strict_bounds_exclude_boundary_rows_on_every_path(self, env_config):
         catalog = self._catalog()
         plan = self._strict_plan()
         expected = {4.0, 5.0, 6.0}  # strictly inside (3, 7)
-        indexed = Executor(catalog, use_incremental=False)
+        indexed = Executor(catalog)
         assert any(isinstance(op, IndexProbeJoinOp) for op in _join_ops(indexed, plan))
         for executor in (
             indexed,
-            Executor(catalog, use_indexes=False, use_incremental=False),
-            Executor(catalog, use_indexes=False, use_batch=False, use_incremental=False),
+            Executor(catalog, config=env_config(use_indexes=False)),
+            Executor(catalog, config=env_config(use_indexes=False, use_batch=False)),
         ):
             assert {r["x"] for r in executor.execute(plan, cache=False).rows} == expected
-        inc = Executor(catalog)
-        assert inc.register_incremental(plan)
-        assert {r["x"] for r in inc.execute(plan).rows} == expected
-        # Maintain through a delta that crosses the strict boundary.
-        probers = catalog.table("prober")
-        probers.update(next(probers.row_ids()), {"px": 6.0})
-        assert {r["x"] for r in inc.execute(plan).rows} == {5.0, 6.0, 7.0}
 
-    def test_mixed_strict_and_inclusive_bounds(self):
+    def test_mixed_strict_and_inclusive_bounds(self, env_config):
         catalog = self._catalog()
         join = Join(TableScan("prober"), TableScan("point"), None, how="cross")
         predicate = and_all(
@@ -297,8 +273,8 @@ class TestStrictBandBounds:
         )
         plan = Select(join, predicate)
         for executor in (
-            Executor(catalog, use_incremental=False),
-            Executor(catalog, use_indexes=False, use_batch=False, use_incremental=False),
+            Executor(catalog),
+            Executor(catalog, config=env_config(use_indexes=False, use_batch=False)),
         ):
             assert {r["x"] for r in executor.execute(plan, cache=False).rows} == {
                 3.0,
@@ -315,7 +291,7 @@ class TestIndexAdvisor:
     def test_hot_band_join_creates_and_evicts_index(self):
         catalog = _make_catalog()
         advisor = IndexAdvisor(catalog, create_after=3, evict_after=5, min_table_rows=10)
-        executor = Executor(catalog, index_advisor=advisor, use_incremental=False)
+        executor = Executor(catalog, index_advisor=advisor)
         plan = band_plan()
         table = catalog.table("unit")
         assert not table.indexes
@@ -344,7 +320,7 @@ class TestIndexAdvisor:
     def test_cell_size_follows_observed_probe_width(self):
         catalog = _make_catalog()
         advisor = IndexAdvisor(catalog, create_after=2, min_table_rows=10)
-        executor = Executor(catalog, index_advisor=advisor, use_incremental=False)
+        executor = Executor(catalog, index_advisor=advisor)
         plan = band_plan()
         for _ in range(2):
             self._run_band_query(executor, plan)
@@ -356,7 +332,7 @@ class TestIndexAdvisor:
     def test_small_tables_are_not_indexed(self):
         catalog = _make_catalog(n=32)
         advisor = IndexAdvisor(catalog, create_after=2, min_table_rows=128)
-        executor = Executor(catalog, index_advisor=advisor, use_incremental=False)
+        executor = Executor(catalog, index_advisor=advisor)
         plan = band_plan()
         for _ in range(5):
             self._run_band_query(executor, plan)
@@ -364,9 +340,7 @@ class TestIndexAdvisor:
         assert not catalog.table("unit").indexes
 
     def test_rts_world_auto_indexes_hot_band_join(self):
-        world = build_rts_world(
-            150, with_physics=False, scripts=["count_neighbours"], use_incremental=False
-        )
+        world = build_rts_world(150, with_physics=False, scripts=["count_neighbours"])
         assert world.index_advisor is not None
         world.run(world.index_advisor.create_after + 1)
         unit_indexes = world.catalog.table("Unit").indexes
@@ -375,65 +349,6 @@ class TestIndexAdvisor:
         ), unit_indexes
         # Ticks keep working (and replan onto the index) after creation.
         world.run(2)
-
-
-class TestDeltaJoinIndexProbe:
-    def _band_catalog(self, n=400, seed=4):
-        catalog = _make_catalog(n=n, seed=seed)
-        catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
-        return catalog
-
-    def test_delta_refresh_probes_index_and_matches_full_paths(self):
-        catalog = self._band_catalog()
-        table = catalog.table("unit")
-        plan = band_plan()
-        inc = Executor(catalog)
-        assert inc.register_incremental(plan)
-        view = inc.incremental_view(plan)
-        probes = [
-            op.band_probe
-            for op in view.root.walk()
-            if isinstance(op, DeltaJoinOp) and op.band_probe is not None
-        ]
-        assert probes, "band join should carry a BandIndexProbe"
-        ref = Executor(catalog, use_indexes=False, use_batch=False, use_incremental=False)
-        rng = random.Random(21)
-        for tick in range(5):
-            assert _normalized(inc.execute(plan).rows) == _normalized(
-                ref.execute(plan).rows
-            ), f"tick {tick}"
-            for rowid in rng.sample(list(table.row_ids()), 6):
-                table.update(rowid, {"x": rng.uniform(0, 100), "y": rng.uniform(0, 100)})
-        assert view.delta_refreshes >= 4
-        assert sum(p.index_probes for p in probes) > 0
-
-    def test_advisor_created_index_is_picked_up_without_reregistration(self):
-        catalog = _make_catalog()
-        table = catalog.table("unit")
-        plan = band_plan()
-        inc = Executor(catalog)
-        assert inc.register_incremental(plan)
-        view = inc.incremental_view(plan)
-        probes = [
-            op.band_probe
-            for op in view.root.walk()
-            if isinstance(op, DeltaJoinOp) and op.band_probe is not None
-        ]
-        rng = random.Random(22)
-
-        def churn():
-            for rowid in rng.sample(list(table.row_ids()), 6):
-                table.update(rowid, {"x": rng.uniform(0, 100), "y": rng.uniform(0, 100)})
-
-        inc.execute(plan)
-        churn()
-        inc.execute(plan)
-        assert sum(p.index_probes for p in probes) == 0  # no index yet: hash fallback
-        catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
-        churn()
-        ref = Executor(catalog, use_indexes=False, use_batch=False, use_incremental=False)
-        assert _normalized(inc.execute(plan).rows) == _normalized(ref.execute(plan).rows)
-        assert sum(p.index_probes for p in probes) > 0  # re-resolved lazily
 
 
 class TestRangeProbeDegenerateWidths:

@@ -316,14 +316,12 @@ def test_tracer_phase_spans_follow_execution_order():
 
 
 def test_tracer_emits_mqo_subplan_spans():
-    # Incremental views normally absorb the queries; force materialization
-    # so shared subplans actually evaluate and get timed.
-    world = build_rts_world(30, config=EngineConfig(use_incremental=False))
+    world = build_rts_world(30, config=EngineConfig())
     tracer = TickTracer()
     world.attach_tracer(tracer)  # external tracer is late-bound to the world
     world.run(2)
     mqo = [e for e in tracer.events if e["cat"] == "mqo"]
-    assert mqo, "expected shared-subplan spans under use_incremental=False"
+    assert mqo, "expected shared-subplan spans"
     assert all(e["args"]["fingerprint"] for e in mqo)
     effect_spans = [
         e for e in tracer.events if e["cat"] == "phase" and e["name"] == "effect"

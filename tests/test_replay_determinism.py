@@ -3,8 +3,8 @@
 A commit record is the exact netted difference between two tick
 boundaries, so replaying checkpoint + deltas must land on *precisely* the
 state the live world held — at every boundary, not just the last one, and
-regardless of which engine paths (MQO sharing, incremental maintenance,
-batch execution) produced the states.  Seeded out-of-tick churn (spawns,
+regardless of which engine paths (MQO sharing, batch execution) produced
+the states.  Seeded out-of-tick churn (spawns,
 destroys, set_state between ticks) rides along in the next commit, so the
 log captures the whole history, not just the tick loop's writes.
 """
@@ -127,18 +127,16 @@ def test_different_churn_seeds_diverge(workload):
     "toggles",
     [
         {"use_mqo": False},
-        {"use_incremental": False},
         {"use_batch": False},
-        {"use_mqo": False, "use_incremental": False, "use_batch": False},
+        {"use_mqo": False, "use_batch": False},
     ],
     ids=lambda t: "+".join(sorted(k for k, v in t.items() if not v)),
 )
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_replay_matches_live_under_engine_path_toggles(workload, toggles):
-    """The regression the issue calls out: MQO sharing, incremental
-    maintenance and batch execution are performance paths — none of them
+def test_replay_matches_live_under_engine_path_toggles(workload, toggles, env_config):
+    """MQO sharing and batch execution are performance paths — neither
     may change what gets committed to the log or how it replays."""
-    path, states, _ = run_with_wal(workload, churn_seed=5, **toggles)
+    path, states, _ = run_with_wal(workload, churn_seed=5, config=env_config(**toggles))
     for tick in sorted(states):
         replayed = replay_tables(path, tick=tick)
         assert replayed.tables == states[tick], (

@@ -4,8 +4,8 @@ pipeline, fused effect aggregation, and cache-invalidation interactions.
 The load-bearing property is end-to-end equivalence: a world ticked through
 the shared pipeline (``use_mqo=True``, the default) must produce exactly
 the combined effects and post-tick state of the per-query path
-(``use_mqo=False``), across workloads that mix batch, incremental,
-index-probe and transactional execution.
+(``use_mqo=False``), across workloads that mix batch, index-probe and
+transactional execution.
 """
 
 from __future__ import annotations
@@ -133,8 +133,8 @@ class TestExecuteTick:
     def test_rows_match_per_query_execution(self, unit_catalog):
         plans = _two_shared_queries()
         specs = [TickQuerySpec(key=f"q{i}", plan=p) for i, p in enumerate(plans)]
-        pipeline_exec = Executor(unit_catalog, use_incremental=False)
-        plain_exec = Executor(unit_catalog, use_incremental=False)
+        pipeline_exec = Executor(unit_catalog)
+        plain_exec = Executor(unit_catalog)
         results = pipeline_exec.execute_tick(specs)
         for plan, result in zip(plans, results):
             assert result.rows is not None
@@ -151,11 +151,11 @@ class TestExecuteTick:
 
         plans = [query("a"), query("b")]
         specs = [TickQuerySpec(key=f"q{i}", plan=p) for i, p in enumerate(plans)]
-        executor = Executor(unit_catalog, use_incremental=False)
+        executor = Executor(unit_catalog)
         results = executor.execute_tick(specs)
         assert executor.last_tick_stats["shared_subplans"] == 1
         assert _normalized(results[0].rows) == _normalized(results[1].rows)
-        plain = Executor(unit_catalog, use_incremental=False)
+        plain = Executor(unit_catalog)
         assert _normalized(results[1].rows) == _normalized(plain.execute(plans[1]).rows)
 
     def test_sink_fusion_matches_store_fold(self, unit_catalog):
@@ -163,12 +163,12 @@ class TestExecuteTick:
             Select(TableScan("unit", "a"), col("a.x").gt(lit(30.0))),
             {"__target__": col("a.player"), "__value__": col("a.health")},
         )
-        executor = Executor(unit_catalog, use_incremental=False)
+        executor = Executor(unit_catalog)
         [result] = executor.execute_tick(
             [TickQuerySpec(key="q", plan=plan, combinator="sum")]
         )
         assert result.partials is not None and result.rows is None
-        rows = Executor(unit_catalog, use_incremental=False).execute(plan).rows
+        rows = Executor(unit_catalog).execute(plan).rows
         expected: dict = {}
         counts: dict = {}
         for row in rows:
@@ -180,7 +180,7 @@ class TestExecuteTick:
     def test_mutation_between_ticks_not_served_stale(self, unit_catalog):
         plans = _two_shared_queries()
         specs = [TickQuerySpec(key=f"q{i}", plan=p) for i, p in enumerate(plans)]
-        executor = Executor(unit_catalog, use_incremental=False)
+        executor = Executor(unit_catalog)
         before = executor.execute_tick(specs)
         table = unit_catalog.table("unit")
         for rowid in list(table.row_ids()):
@@ -194,7 +194,7 @@ class TestExecuteTick:
     ):
         plans = _two_shared_queries()
         specs = [TickQuerySpec(key=f"q{i}", plan=p) for i, p in enumerate(plans)]
-        executor = Executor(unit_catalog, use_incremental=False)
+        executor = Executor(unit_catalog)
         first = executor.execute_tick(specs)
         # Catalog shape change mid-run: a new index over the filter column.
         table = unit_catalog.table("unit")
@@ -205,9 +205,7 @@ class TestExecuteTick:
         for a, b in zip(first, second):
             assert _normalized(a.rows) == _normalized(b.rows)
 
-
-class TestIncrementalInteraction:
-    def test_view_not_stale_across_invalidate_plans(self, unit_catalog):
+    def test_execute_not_stale_across_invalidate_plans(self, unit_catalog):
         from repro.engine.algebra import Aggregate, AggregateSpec
 
         plan = Aggregate(
@@ -216,35 +214,14 @@ class TestIncrementalInteraction:
             [AggregateSpec("n", "count")],
         )
         executor = Executor(unit_catalog)
-        assert executor.register_incremental(plan)
         executor.execute(plan)
         executor.invalidate_plans()
-        # The view must survive a plan invalidation (documented) but never
-        # serve rows computed before subsequent churn.
         table = unit_catalog.table("unit")
         for rowid in list(table.row_ids())[:40]:
             table.update(rowid, {"x": 0.0})
         fresh = executor.execute(plan).rows
-        recomputed = Executor(unit_catalog, use_incremental=False).execute(plan).rows
+        recomputed = Executor(unit_catalog).execute(plan).rows
         assert _normalized(fresh) == _normalized(recomputed)
-        assert executor.incremental_view(plan) is not None
-        report = {r["plan"]: r for r in executor.cache_report()}
-        assert any(r["incremental"] for r in report.values())
-
-    def test_execute_tick_serves_incremental_views(self, unit_catalog):
-        plan = _two_shared_queries()[0]
-        executor = Executor(unit_catalog)
-        assert executor.register_incremental(plan)
-        [result] = executor.execute_tick([TickQuerySpec(key="q", plan=plan)])
-        view = executor.incremental_view(plan)
-        assert view is not None and view.stats()["full_refreshes"] >= 1
-        plain = Executor(unit_catalog, use_incremental=False)
-        assert _normalized(result.rows) == _normalized(plain.execute(plan).rows)
-        # Sink fusion composes with the view path too.
-        [fused] = executor.execute_tick(
-            [TickQuerySpec(key="q", plan=plan, combinator="sum")]
-        )
-        assert fused.partials is not None
 
 
 # ------------------------------------------------------------------------------------
@@ -312,13 +289,13 @@ class TestEffectPartials:
         assert combined.value("Unit", 1, "damage") == 22
         assert combined.assignment_counts[("Unit", 1)]["damage"] == 3
 
-    def test_effect_sink_operator_row_and_batch_paths(self, unit_catalog):
+    def test_effect_sink_operator_row_and_batch_paths(self, unit_catalog, env_config):
         plan = Project(
             Select(TableScan("unit", "a"), col("a.x").gt(lit(0.0))),
             {"__target__": col("a.player"), "__value__": col("a.health")},
         )
         for use_batch in (True, False):
-            executor = Executor(unit_catalog, use_batch=use_batch, use_incremental=False)
+            executor = Executor(unit_catalog, config=env_config(use_batch=use_batch))
             physical = executor.prepare(plan).physical
             sink = EffectSinkOp(physical, "max", "__target__", "__value__")
             partials = dict(
@@ -351,32 +328,40 @@ def _assert_worlds_equal(world_a, world_b, tick):
 
 
 class TestWorldEquivalence:
-    def test_rts_world(self):
-        # Defaults exercise batch + incremental + auto-index paths; the
+    def test_rts_world(self, env_config):
+        # Defaults exercise batch + auto-index paths; the
         # advisor's mid-run index creation also exercises pipeline rebuild
         # after invalidate_plans().
-        world_mqo = build_rts_world(80, mode=ExecutionMode.COMPILED, use_mqo=True)
-        world_plain = build_rts_world(80, mode=ExecutionMode.COMPILED, use_mqo=False)
+        world_mqo = build_rts_world(
+            80, mode=ExecutionMode.COMPILED, config=env_config(use_mqo=True)
+        )
+        world_plain = build_rts_world(
+            80, mode=ExecutionMode.COMPILED, config=env_config(use_mqo=False)
+        )
         for tick in range(6):
             report = world_mqo.tick()
             world_plain.tick()
             _assert_worlds_equal(world_mqo, world_plain, tick)
         assert report.fused_effect_rows > 0
 
-    def test_traffic_world(self):
-        world_mqo = build_traffic_world(60, mode=ExecutionMode.COMPILED, use_mqo=True)
-        world_plain = build_traffic_world(60, mode=ExecutionMode.COMPILED, use_mqo=False)
+    def test_traffic_world(self, env_config):
+        world_mqo = build_traffic_world(
+            60, mode=ExecutionMode.COMPILED, config=env_config(use_mqo=True)
+        )
+        world_plain = build_traffic_world(
+            60, mode=ExecutionMode.COMPILED, config=env_config(use_mqo=False)
+        )
         for tick in range(5):
             world_mqo.tick()
             world_plain.tick()
             _assert_worlds_equal(world_mqo, world_plain, tick)
 
-    def test_marketplace_world_transactional(self):
+    def test_marketplace_world_transactional(self, env_config):
         world_mqo = build_marketplace_world(
-            40, mode=ExecutionMode.COMPILED, use_mqo=True
+            40, mode=ExecutionMode.COMPILED, config=env_config(use_mqo=True)
         )
         world_plain = build_marketplace_world(
-            40, mode=ExecutionMode.COMPILED, use_mqo=False
+            40, mode=ExecutionMode.COMPILED, config=env_config(use_mqo=False)
         )
         for tick in range(4):
             report = world_mqo.tick()
@@ -387,7 +372,7 @@ class TestWorldEquivalence:
                 == world_plain.reports[-1].transactions_committed
             )
 
-    def test_order_sensitive_and_multitick_scripts(self):
+    def test_order_sensitive_and_multitick_scripts(self, env_config):
         source = """
 class Npc {
   state:
@@ -417,7 +402,7 @@ script phaser(Npc self) {
 """
 
         def build(use_mqo):
-            world = GameWorld(source, use_mqo=use_mqo)
+            world = GameWorld(source, config=env_config(use_mqo=use_mqo))
             world.add_update_rule("Npc", "x", lambda state, effects: state["x"])
             rng = random.Random(3)
             world.spawn_many("Npc", [{"x": rng.uniform(0, 30)} for _ in range(25)])
@@ -431,22 +416,11 @@ script phaser(Npc self) {
 
 
 # ------------------------------------------------------------------------------------
-# satellites: stable incremental memoization, degraded transactions, counters
+# satellites: degraded transactions, counters
 # ------------------------------------------------------------------------------------
 
 
 class TestSatellites:
-    def test_incremental_consideration_keyed_on_stable_identity(self):
-        world = build_rts_world(10, mode=ExecutionMode.COMPILED)
-        calls = []
-        original = world.executor.register_incremental
-        world.executor.register_incremental = lambda plan: calls.append(plan) or original(plan)
-        query = world.compiled.script("engage").all_queries()[0]
-        world._maybe_register_incremental(query)
-        world._maybe_register_incremental(query)
-        assert len(calls) == 1
-        assert query.query_id in world._incremental_considered
-
     def test_degraded_transactions_combine_once(self, monkeypatch):
         from repro.workloads.marketplace import MARKET_SOURCE
 

@@ -221,8 +221,8 @@ class TestStandingQueryGroups:
 
     def test_churning_subscribers_do_not_grow_executor_state(self):
         """Connect/subscribe/disconnect loops (every TCP request builds a
-        fresh plan object) must not leak plan-cache or incremental-view
-        entries in the shared executor."""
+        fresh plan object) must not leak plan-cache entries in the shared
+        executor."""
         catalog, _ = build_bare_catalog(n=20)
         executor = Executor(catalog)
         manager = SubscriptionManager(catalog=catalog, executor=executor)
@@ -242,7 +242,6 @@ class TestStandingQueryGroups:
             manager.disconnect(session)
         assert manager.subscription_count() == 0
         assert len(executor._cache) == 0
-        assert len(executor._incremental) == 0
 
     def test_unsubscribe_drops_group_and_disconnect_cleans_up(self):
         catalog, _ = build_bare_catalog()
@@ -394,7 +393,7 @@ class TestWorkloadEquivalence:
             harness.verify(f"at tick {tick}")
 
     def test_rts_change_log_overflow_forces_snapshot_resync(self):
-        world = build_rts_world(40, seed=5, use_incremental=False)
+        world = build_rts_world(40, seed=5)
         table = primary_table(world, "Unit")
         table.enable_change_log(capacity=8)  # one tick of physics overflows this
         harness = EquivalenceHarness(world, "Unit")
@@ -624,7 +623,7 @@ def test_sgl_compiled_effect_query_as_standing_query():
     sid = manager.subscribe_query(session, query.plan)
     states = {sid: ResultSet()}
     drain(session, states)
-    scratch = Executor(world.catalog, use_incremental=False)
+    scratch = Executor(world.catalog)
     for _ in range(4):
         world.tick()
         drain(session, states)
