@@ -33,13 +33,26 @@ from index_join_scenario import (
 )
 from repro.engine.config import EngineConfig
 from repro.engine.executor import Executor
-from repro.engine.operators import IndexProbeJoinOp, RangeProbeJoinOp
+from repro.engine.operators import BatchBridgeOp, BatchIndexProbeJoinOp, RangeProbeJoinOp
 
 TICKS = 30
 
 
 def _normalized(rows):
     return sorted((tuple(sorted(r.items())) for r in rows), key=repr)
+
+
+def _op_names(executor, plan):
+    """Operator class names of *plan*'s physical tree, batch subtrees included."""
+    names = []
+    stack = [executor.prepare(plan).physical]
+    while stack:
+        op = stack.pop()
+        names.append(type(op).__name__)
+        if isinstance(op, BatchBridgeOp):
+            stack.append(op.batch_root)
+        stack.extend(op.children)
+    return names
 
 
 def _paths(catalog):
@@ -58,9 +71,9 @@ def test_index_join_speedup_vs_rebuild():
     paths = _paths(catalog)
 
     # The planner must actually have chosen the two paths being compared.
-    indexed_ops = [type(op).__name__ for op in paths["indexed"].prepare(plan).physical.walk()]
-    rebuild_ops = [type(op).__name__ for op in paths["rebuild"].prepare(plan).physical.walk()]
-    assert IndexProbeJoinOp.__name__ in indexed_ops, indexed_ops
+    indexed_ops = _op_names(paths["indexed"], plan)
+    rebuild_ops = _op_names(paths["rebuild"], plan)
+    assert BatchIndexProbeJoinOp.__name__ in indexed_ops, indexed_ops
     assert RangeProbeJoinOp.__name__ in rebuild_ops, rebuild_ops
 
     # Correctness first: all three paths must agree under churn, per tick.

@@ -7,7 +7,7 @@ units table carries a registered :class:`GridIndex` over ``(x, y)`` —
 maintained O(1) per mutation — so the same catalog serves three paths:
 
 * **indexed** — the planner probes the persistent grid
-  (``IndexProbeJoinOp``); the inner side is never rescanned, so per-tick
+  (``BatchIndexProbeJoinOp``); the inner side is never rescanned, so per-tick
   join cost is O(scouts · candidates), independent of the population,
 * **rebuild** — ``use_indexes=False``: the planner's fallback
   (``RangeProbeJoinOp``) materializes the inner side and rebuilds a

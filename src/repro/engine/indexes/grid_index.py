@@ -11,6 +11,7 @@ NPCs will move continuously to a nearby location" (Section 4.1).
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import product
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.engine.table import RowId, Table, TableIndex
@@ -103,16 +104,13 @@ class GridIndex(TableIndex):
         for lo, hi in zip(lows, highs):
             box_cells *= max(0, hi - lo + 1)
         if box_cells <= len(self._cells):
-            # Enumerate the candidate cells of the query box directly.
-            def cells_in_box(dim: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-                if dim == len(lows):
-                    yield prefix
-                    return
-                for c in range(lows[dim], highs[dim] + 1):
-                    yield from cells_in_box(dim + 1, prefix + (c,))
-
-            for cell in cells_in_box(0, ()):
-                yield from self._cells.get(cell, ())
+            # Enumerate the candidate cells of the query box directly, in
+            # lexicographic cell order.
+            get = self._cells.get
+            for cell in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
+                bucket = get(cell)
+                if bucket:
+                    yield from bucket
         else:
             # Query box larger than the populated area: scan populated cells.
             for cell, rowids in self._cells.items():

@@ -7,6 +7,7 @@ from repro.engine.operators.batch_ops import (
     BatchBridgeOp,
     BatchFilterOp,
     BatchHashJoinOp,
+    BatchIndexProbeJoinOp,
     BatchNestedLoopJoinOp,
     BatchOperator,
     BatchProjectOp,
@@ -75,6 +76,7 @@ __all__ = [
     "BatchProjectOp",
     "BatchHashJoinOp",
     "BatchNestedLoopJoinOp",
+    "BatchIndexProbeJoinOp",
     "BatchAggregateOp",
     "BatchBridgeOp",
     "MaterializedSourceOp",

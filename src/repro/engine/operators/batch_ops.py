@@ -1,7 +1,7 @@
 """Batch (columnar) physical operators.
 
-These mirror the hot row-at-a-time operators — scan, filter, project, hash
-and nested-loop join, aggregate — but produce whole
+These mirror the hot row-at-a-time operators — scan, filter, project, hash,
+nested-loop and index-probe band join, aggregate — but produce whole
 :class:`~repro.engine.batch.ColumnBatch` relations instead of yielding a
 dict per row.  The physical planner
 (:mod:`repro.engine.optimizer.physical`) lowers an operator subtree to
@@ -41,6 +41,7 @@ from repro.engine.expressions import (
     resolve_batch_column,
 )
 from repro.engine.operators.base import PhysicalOperator
+from repro.engine.operators.joins import IndexProbe
 from repro.engine.schema import Schema
 from repro.engine.table import Table
 
@@ -52,6 +53,7 @@ __all__ = [
     "BatchProjectOp",
     "BatchHashJoinOp",
     "BatchNestedLoopJoinOp",
+    "BatchIndexProbeJoinOp",
     "BatchAggregateOp",
     "BatchBridgeOp",
 ]
@@ -289,8 +291,8 @@ class _PairFilter:
         self,
         left: ColumnBatch,
         right: ColumnBatch,
-        pair_left: list[int],
-        pair_right: list[int],
+        pair_left: Sequence[int],
+        pair_right: Sequence[int],
         predicate: Expression,
     ):
         combined: dict[str, Any] = {}
@@ -459,6 +461,72 @@ class BatchNestedLoopJoinOp(BatchOperator):
 
     def label(self) -> str:
         return f"BatchNestedLoopJoin({self.how}, on={self.condition!r})"
+
+
+class BatchIndexProbeJoinOp(BatchOperator):
+    """Band join probing a persistent table index, over an outer batch.
+
+    The batch twin of :class:`~repro.engine.operators.joins.IndexProbeJoinOp`
+    and built on the same :class:`~repro.engine.operators.joins.IndexProbe`
+    core, so probes, bound re-checks, the evicted-index fallback and the
+    advisor statistics are identical.  The bounds are compiled over the
+    outer batch; values are gathered only from the inner rows the probes
+    matched, so the cost is O(matched) and the inner table is never
+    snapshotted.  Output rows come in the row operator's order: outer
+    position, then index order.
+    """
+
+    def __init__(
+        self,
+        outer: BatchOperator,
+        table: Table,
+        index_name: str,
+        dimensions: Sequence[tuple[str, Expression, Expression]],
+        schema: Schema,
+        residual: Expression | None = None,
+        alias: str | None = None,
+    ):
+        probe = IndexProbe(table, index_name, dimensions, alias)
+        inner_names = tuple(name for name, _ in probe.output_columns)
+        super().__init__(schema, tuple(outer.names) + inner_names, (outer,))
+        self.probe = probe
+        self.residual = residual
+        #: See :attr:`~repro.engine.operators.joins.RangeProbeJoinOp.stats_hook`.
+        self.stats_hook: Callable[[int, float, int], None] | None = None
+
+    def execute(self) -> ColumnBatch:
+        outer = self.children[0].execute()
+        bound_fns = [
+            (compile_batch(low, outer.columns), compile_batch(high, outer.columns))
+            for _, low, high in self.probe.dimensions
+        ]
+        out_outer: list[int] = []
+        inner_rows: list[dict[str, Any]] = []
+        for i, rows in self.probe.matches(outer.indices(), bound_fns, self.stats_hook):
+            out_outer.extend([i] * len(rows))
+            inner_rows.extend(rows)
+        inner_columns = {
+            name: [row[stored] for row in inner_rows]
+            for name, stored in self.probe.output_columns
+        }
+        if self.residual is not None:
+            inner = ColumnBatch(tuple(inner_columns), inner_columns)
+            keep = _PairFilter(
+                outer, inner, out_outer, range(len(inner_rows)), self.residual
+            ).keep()
+            out_outer = [out_outer[k] for k in keep]
+            inner_columns = {
+                name: [column[k] for k in keep] for name, column in inner_columns.items()
+            }
+        columns: dict[str, list] = {}
+        for name in outer.names:
+            column = outer.columns[name]
+            columns[name] = [column[i] for i in out_outer]
+        columns.update(inner_columns)
+        return ColumnBatch(self.names, columns)
+
+    def label(self) -> str:
+        return f"BatchIndexProbeJoin({self.probe.label()})"
 
 
 def _fold_values(func: str, values: Sequence[Any]) -> Any:

@@ -17,7 +17,7 @@ small cross products in effect computation.  The planner chooses between:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.engine.expressions import Expression
 from repro.engine.operators.base import PhysicalOperator
@@ -33,6 +33,7 @@ __all__ = [
     "BandJoinOp",
     "CrossJoinOp",
     "IndexProbeJoinOp",
+    "IndexProbe",
 ]
 
 
@@ -379,6 +380,128 @@ class RangeProbeJoinOp(PhysicalOperator):
         return f"RangeProbeJoin(right=[{cols}])"
 
 
+class IndexProbe:
+    """The persistent-index probe core of the band joins.
+
+    Shared by :class:`IndexProbeJoinOp` (row path) and
+    :class:`~repro.engine.operators.batch_ops.BatchIndexProbeJoinOp`
+    (batch path), so both operators probe, skip, re-check and report
+    exactly alike; they differ only in how they evaluate the bounds and
+    assemble output rows.
+
+    ``dimensions`` are ``(right_column, low_expr, high_expr)`` triples like
+    :class:`RangeProbeJoinOp`'s, with ``right_column`` resolved to the inner
+    table's schema names.  The index may cover only some probe dimensions
+    and may over-approximate near cell borders, so every fetched row is
+    re-checked against *all* bounds.
+
+    The index is re-resolved by name on every execution: plans can outlive
+    the index they were built against (a cached plan raced by the
+    advisor's eviction), so a missing name degrades to any other covering
+    index (:meth:`Table.find_index_covering`) and, failing that, to
+    scanning the table's row ids per probe — slower, never wrong.
+    """
+
+    def __init__(
+        self,
+        table: "Table",
+        index_name: str,
+        dimensions: Sequence[tuple[str, Expression, Expression]],
+        alias: str | None = None,
+    ):
+        self.table = table
+        self.index_name = index_name
+        self.dimensions = list(dimensions)
+        table.index(index_name)  # validate the name at plan time
+        #: Probe columns resolved to the table's schema names (the stored
+        #: row dicts use base names even when the scan is aliased).
+        self._base_columns = [
+            table.schema.resolve(column.split(".")[-1]) for column, _, _ in self.dimensions
+        ]
+        #: Probe-dimension position per base column (to order ``range_search``
+        #: bounds for whichever index :meth:`_resolve_index` returns).
+        self._dim_by_column = {c: i for i, c in enumerate(self._base_columns)}
+        #: ``(output name, stored name)`` per inner column, in schema order:
+        #: the inner half of the join's output, precomputed so the hot
+        #: loops copy fetched values without per-row string work.
+        self.output_columns = [
+            (f"{alias}.{name.split('.')[-1]}" if alias else name, name)
+            for name in table.schema.names
+        ]
+
+    def _resolve_index(self):
+        """The named index, any other covering one, or ``None`` (degraded)."""
+        from repro.engine.errors import CatalogError
+
+        try:
+            return self.table.index(self.index_name)
+        except CatalogError:
+            covering = self.table.find_index_covering(self._base_columns)
+            return None if covering is None else covering[1]
+
+    def matches(
+        self,
+        outer: Iterable[Any],
+        bound_fns: Sequence[tuple[Callable[[Any], Any], Callable[[Any], Any]]],
+        stats_hook: Callable[[int, float, int], None] | None,
+    ) -> Iterator[tuple[Any, list[dict[str, Any]]]]:
+        """Probe once per outer item; yield ``(item, matching inner rows)``.
+
+        ``bound_fns`` holds one ``(low, high)`` evaluator per dimension,
+        applied to each outer item (a row dict on the row path, a batch
+        position on the batch path).  Probes with a ``None`` or inverted
+        bound are skipped; items without matches are not yielded.  Inner
+        rows are the table's stored dicts (read-only), in index order.
+        ``stats_hook`` receives ``(n_probes, width_sum, width_count)`` once
+        the outer input is exhausted.
+        """
+        index = self._resolve_index()
+        index_dims = (
+            None
+            if index is None
+            else [self._dim_by_column[c.split(".")[-1]] for c in index.columns]
+        )
+        table = self.table
+        base_columns = self._base_columns
+        n_probes = 0
+        width_sum = 0.0
+        width_count = 0
+        for item in outer:
+            bounds: list[tuple[float, float]] = []
+            for low_fn, high_fn in bound_fns:
+                low = low_fn(item)
+                high = high_fn(item)
+                if low is None or high is None or high < low:
+                    break
+                bounds.append((float(low), float(high)))
+            else:
+                n_probes += 1
+                for lo, hi in bounds:
+                    width_sum += hi - lo
+                    width_count += 1
+                if index is not None:
+                    rowids: Iterable[Any] = index.range_search([bounds[i] for i in index_dims])
+                else:
+                    rowids = table.row_ids()
+                # Exact re-check, one pass per dimension: a row survives iff
+                # no bound is None-valued or violated, in index order.
+                matched = table.get_many(rowids)
+                for column, (lo, hi) in zip(base_columns, bounds):
+                    matched = [
+                        row
+                        for row in matched
+                        if (value := row[column]) is not None and not (value < lo or value > hi)
+                    ]
+                if matched:
+                    yield item, matched
+        if stats_hook is not None:
+            stats_hook(n_probes, width_sum, width_count)
+
+    def label(self) -> str:
+        pairs = ", ".join(f"{lo!r}<={c}<={hi!r}" for c, lo, hi in self.dimensions)
+        return f"{self.table.name}.{self.index_name}, {pairs}"
+
+
 class IndexProbeJoinOp(PhysicalOperator):
     """Band/range join probing a *persistent* index on the inner table.
 
@@ -387,20 +510,12 @@ class IndexProbeJoinOp(PhysicalOperator):
     registered table index (``GridIndex`` / ``RangeTreeIndex`` /
     ``SortedIndex``) that the table maintains O(1)-per-mutation anyway —
     Section 4.2's argument that indexing is what makes per-tick range
-    queries scale, applied to the actual join path.
-
-    ``dimensions`` are ``(right_column, low_expr, high_expr)`` triples like
-    :class:`RangeProbeJoinOp`'s, with ``right_column`` resolved to the inner
-    table's schema names.  The index may cover only some probe dimensions
-    and may over-approximate near cell borders, so every fetched row is
-    re-checked against *all* bounds before the residual runs.
-
-    The index is re-resolved by name on every execution: plans can outlive
-    the index they were built against (a cached plan raced by the
-    advisor's eviction), so a missing
-    name degrades to any other covering index
-    (:meth:`Table.find_index_covering`) and, failing that, to scanning the
-    table's row ids per probe — slower, never wrong.
+    queries scale, applied to the actual join path.  The probe itself
+    (bound checks, degradation when the index is gone, advisor
+    statistics) is :class:`IndexProbe`, shared with the batch twin
+    :class:`~repro.engine.operators.batch_ops.BatchIndexProbeJoinOp`; this
+    operator serves ``use_batch=False`` and the plans whose outer side or
+    expressions cannot run columnar.
     """
 
     def __init__(
@@ -414,97 +529,27 @@ class IndexProbeJoinOp(PhysicalOperator):
         alias: str | None = None,
     ):
         super().__init__(schema, (outer,))
-        self.table = table
-        self.index_name = index_name
-        self.dimensions = list(dimensions)
+        self.probe = IndexProbe(table, index_name, dimensions, alias)
         self.residual = residual
-        self.alias = alias
-        table.index(index_name)  # validate the name at plan time
-        #: Probe columns resolved to the table's schema names (the stored
-        #: row dicts use base names even when the scan is aliased).
-        self._base_columns = [
-            table.schema.resolve(column.split(".")[-1]) for column, _, _ in self.dimensions
-        ]
-        #: Probe-dimension position per base column (to order ``range_search``
-        #: bounds for whichever index :meth:`_resolve_index` returns).
-        self._dim_by_column = {c: i for i, c in enumerate(self._base_columns)}
-        #: ``(output name, stored name)`` pairs, precomputed so the hot
-        #: loop merges fetched rows without per-row string work.
-        self._output_columns = [
-            (f"{alias}.{name.split('.')[-1]}" if alias else name, name)
-            for name in table.schema.names
-        ]
         #: See :attr:`RangeProbeJoinOp.stats_hook`.
         self.stats_hook: Callable[[int, float, int], None] | None = None
 
-    def _resolve_index(self):
-        """The named index, any other covering one, or ``None`` (degraded)."""
-        from repro.engine.errors import CatalogError
-
-        try:
-            return self.table.index(self.index_name)
-        except CatalogError:
-            covering = self.table.find_index_covering(self._base_columns)
-            return None if covering is None else covering[1]
-
     def _produce(self) -> Iterator[dict[str, Any]]:
-        index = self._resolve_index()
-        index_dims = (
-            None
-            if index is None
-            else [self._dim_by_column[c.split(".")[-1]] for c in index.columns]
-        )
-        get_row = self.table.get
-        dims = self.dimensions
-        base_columns = self._base_columns
-        output_columns = self._output_columns
+        bound_fns = [(low.evaluate, high.evaluate) for _, low, high in self.probe.dimensions]
+        output_columns = self.probe.output_columns
         residual = self.residual
-        n_probes = 0
-        width_sum = 0.0
-        width_count = 0
-        for outer_row in self.children[0]:
-            bounds: list[tuple[float, float]] = []
-            ok = True
-            for _, low_expr, high_expr in dims:
-                low = low_expr.evaluate(outer_row)
-                high = high_expr.evaluate(outer_row)
-                if low is None or high is None or high < low:
-                    ok = False
-                    break
-                bounds.append((float(low), float(high)))
-            if not ok:
-                continue
-            n_probes += 1
-            for lo, hi in bounds:
-                width_sum += hi - lo
-                width_count += 1
-            if index is not None:
-                rowids: Iterator[Any] = index.range_search([bounds[i] for i in index_dims])
-            else:
-                rowids = self.table.row_ids()
-            for rowid in rowids:
-                inner_row = get_row(rowid)
-                ok = True
-                for column, (lo, hi) in zip(base_columns, bounds):
-                    value = inner_row[column]
-                    if value is None or value < lo or value > hi:
-                        ok = False
-                        break
-                if not ok:
-                    continue
+        for outer_row, inner_rows in self.probe.matches(
+            self.children[0], bound_fns, self.stats_hook
+        ):
+            for inner_row in inner_rows:
                 combined = dict(outer_row)
                 for name, stored in output_columns:
                     combined[name] = inner_row[stored]
                 if residual is None or residual.evaluate(combined):
                     yield combined
-        if self.stats_hook is not None:
-            self.stats_hook(n_probes, width_sum, width_count)
 
     def label(self) -> str:
-        pairs = ", ".join(
-            f"{lo!r}<={c}<={hi!r}" for c, lo, hi in self.dimensions
-        )
-        return f"IndexProbeJoin({self.table.name}.{self.index_name}, {pairs})"
+        return f"IndexProbeJoin({self.probe.label()})"
 
 
 def _product(ranges: Sequence[range]) -> Iterator[tuple[int, ...]]:

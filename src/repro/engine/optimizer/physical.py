@@ -2,18 +2,21 @@
 
 The physical planner chooses operator implementations:
 
-* a maximal batch-capable subtree (scans, filters, projections, hash and
-  nested-loop joins, aggregation with compilable expressions) lowers to
-  the columnar batch path (:mod:`repro.engine.operators.batch_ops`),
-  bridged back to row dicts at its root by :class:`BatchBridgeOp`,
+* a maximal batch-capable subtree (scans, filters, projections, hash,
+  nested-loop and index-probe band joins, aggregation with compilable
+  expressions) lowers to the columnar batch path
+  (:mod:`repro.engine.operators.batch_ops`), bridged back to row dicts at
+  its root by :class:`BatchBridgeOp`,
 * selections directly above a base-table scan use an index
   (:class:`IndexRangeScanOp` / :class:`IndexEqualityScanOp`) when one covers
   the predicate columns, keeping the rest as a residual filter — index
   scans win over the batch path because they skip rows entirely,
-* joins become hash joins (equi conjuncts), range-probe joins (the
-  Figure 2 "units within range" shape), or nested-loop joins; the
-  grid-accelerated range-probe join stays on the row path, where it beats
-  a batch nested loop,
+* joins become hash joins (equi conjuncts), band joins (the Figure 2
+  "units within range" shape) or nested-loop joins.  A band join probes
+  a persistent index when one covers it — on the batch path when the
+  outer side batches, else on the row path — and otherwise falls back to
+  the grid-accelerated range-probe join, which stays on the row path,
+  where it beats a batch nested loop,
 * everything else lowers one-to-one on the row path, with children again
   free to choose the batch path below.
 """
@@ -57,6 +60,7 @@ from repro.engine.operators import (
     BatchBridgeOp,
     BatchFilterOp,
     BatchHashJoinOp,
+    BatchIndexProbeJoinOp,
     BatchNestedLoopJoinOp,
     BatchOperator,
     BatchProjectOp,
@@ -360,10 +364,8 @@ class PhysicalPlanner:
             probe = _extract_range_probe(conjuncts, left_schema, right_schema)
             if probe:
                 dimensions, residual_conjuncts = probe
-                indexed = (
-                    self._try_index_probe_join(plan, dimensions, residual_conjuncts, schema)
-                    if self.use_indexes
-                    else None
+                indexed = self._try_index_probe_join(
+                    plan, dimensions, residual_conjuncts, schema
                 )
                 if indexed is not None:
                     return indexed
@@ -377,14 +379,13 @@ class PhysicalPlanner:
             self.lower(plan.left), self.lower(plan.right), plan.condition, schema, how=plan.how
         )
 
-    def _try_index_probe_join(
+    def _match_index_probe(
         self,
         plan: Join,
         dimensions: Sequence[tuple[str, Expression, Expression]],
         residual_conjuncts: Sequence[Expression],
-        schema: Schema,
-    ) -> PhysicalOperator | None:
-        """Lower a band join to a persistent-index probe when one applies.
+    ) -> tuple[Table, str, str | None, Expression | None] | None:
+        """Decide whether a band join probes a persistent index.
 
         The inner side must be a (possibly filtered) base-table scan with a
         registered range-capable index over probe columns; the transient
@@ -398,14 +399,31 @@ class PhysicalPlanner:
         have, and the remedies are re-registering it with a better cell
         size or ``use_indexes=False``.  Folded inner Select predicates
         join the residual, so bypassing the inner operator tree never
-        loses a filter.
+        loses a filter.  Returns ``(table, index_name, scan alias,
+        residual)``; the row and batch lowerings share this decision.
         """
+        if not self.use_indexes:
+            return None
         matched = match_band_index(self.catalog, plan.right, dimensions)
         if matched is None:
             return None
         table, index_name, alias, folded = matched
         residual_parts = list(residual_conjuncts) + list(folded)
         residual = and_all(residual_parts) if residual_parts else None
+        return table, index_name, alias, residual
+
+    def _try_index_probe_join(
+        self,
+        plan: Join,
+        dimensions: Sequence[tuple[str, Expression, Expression]],
+        residual_conjuncts: Sequence[Expression],
+        schema: Schema,
+    ) -> PhysicalOperator | None:
+        """Lower a band join to a row-path persistent-index probe."""
+        matched = self._match_index_probe(plan, dimensions, residual_conjuncts)
+        if matched is None:
+            return None
+        table, index_name, alias, residual = matched
         op = IndexProbeJoinOp(
             self.lower(plan.left),
             table,
@@ -448,7 +466,8 @@ class PhysicalPlanner:
         checked with :func:`batch_supported` against the child's *batch*
         column names (which equal the row dicts' keys), so a chosen batch
         plan cannot fail to compile at runtime.  Nodes that decline —
-        index-friendly selections, range-probe joins, sorts, limits — keep
+        index-friendly selections, band joins without a covering index,
+        sorts, limits — keep
         the whole subtree above them on the row path, while their children
         may still batch independently via :meth:`lower`.
         """
@@ -490,12 +509,12 @@ class PhysicalPlanner:
         return None
 
     def _lower_batch_join(self, plan: Join) -> BatchOperator | None:
-        left = self._lower_batch(plan.left)
-        right = self._lower_batch(plan.right)
-        if left is None or right is None:
-            return None
         schema = plan.output_schema(self.catalog)
         if plan.how == "cross" or plan.condition is None:
+            left = self._lower_batch(plan.left)
+            right = self._lower_batch(plan.right)
+            if left is None or right is None:
+                return None
             return BatchNestedLoopJoinOp(left, right, None, schema, how=plan.how if plan.how == "left" else "inner")
         left_schema = plan.left.output_schema(self.catalog)
         right_schema = plan.right.output_schema(self.catalog)
@@ -504,8 +523,19 @@ class PhysicalPlanner:
             if isinstance(plan.condition, BinaryOp)
             else [plan.condition]
         )
-        combined_names = left.names + right.names
         equi = _extract_equi_keys(conjuncts, left_schema, right_schema)
+        if not equi and plan.how == "inner":
+            probe = _extract_range_probe(conjuncts, left_schema, right_schema)
+            if probe:
+                # Only the persistent-index probe has a batch form; the
+                # grid-accelerated RangeProbeJoinOp (row path) beats a
+                # batch nested loop on every other band-join shape.
+                return self._lower_batch_index_probe(plan, *probe, schema)
+        left = self._lower_batch(plan.left)
+        right = self._lower_batch(plan.right)
+        if left is None or right is None:
+            return None
+        combined_names = left.names + right.names
         if equi:
             left_keys, right_keys, residual_conjuncts = equi
             if not all(batch_supported(k, left.names) for k in left_keys):
@@ -518,13 +548,42 @@ class PhysicalPlanner:
             return BatchHashJoinOp(
                 left, right, left_keys, right_keys, schema, residual=residual, how=plan.how
             )
-        if plan.how == "inner" and _extract_range_probe(conjuncts, left_schema, right_schema):
-            # The grid-accelerated RangeProbeJoinOp (row path) beats a
-            # batch nested loop on the Figure-2 band-join shape.
-            return None
         if not batch_supported(plan.condition, combined_names):
             return None
         return BatchNestedLoopJoinOp(left, right, plan.condition, schema, how=plan.how)
+
+    def _lower_batch_index_probe(
+        self,
+        plan: Join,
+        dimensions: Sequence[tuple[str, Expression, Expression]],
+        residual_conjuncts: Sequence[Expression],
+        schema: Schema,
+    ) -> BatchOperator | None:
+        """The batch twin of :meth:`_try_index_probe_join`, or ``None``.
+
+        Declines (leaving the row-path :class:`IndexProbeJoinOp`) unless
+        an index applies, the outer side batches, the probe bounds compile
+        over the outer batch and the residual — folded inner Selects
+        included — compiles over the combined names.  The inner side is
+        never lowered: the probe reads it straight out of the table.
+        """
+        matched = self._match_index_probe(plan, dimensions, residual_conjuncts)
+        if matched is None:
+            return None
+        table, index_name, alias, residual = matched
+        outer = self._lower_batch(plan.left)
+        if outer is None:
+            return None
+        for _, low, high in dimensions:
+            if not (batch_supported(low, outer.names) and batch_supported(high, outer.names)):
+                return None
+        op = BatchIndexProbeJoinOp(
+            outer, table, index_name, dimensions, schema, residual=residual, alias=alias
+        )
+        if residual is not None and not batch_supported(residual, op.names):
+            return None
+        self._attach_band_hook(op, plan.right, dimensions)
+        return op
 
     def _lower_batch_aggregate(self, plan: Aggregate) -> BatchOperator | None:
         child = self._lower_batch(plan.child)

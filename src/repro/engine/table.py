@@ -182,6 +182,15 @@ class Table:
         except KeyError:
             raise ExecutionError(f"table {self.name!r} has no row id {rowid}") from None
 
+    def get_many(self, rowids: Iterable[RowId]) -> list[dict[str, Any]]:
+        """The rows stored under *rowids*, in order — shared, read-only
+        references like :meth:`get`'s, fetched in one call (the index-probe
+        join's hot loop)."""
+        try:
+            return list(map(self._rows.__getitem__, rowids))
+        except KeyError as exc:
+            raise ExecutionError(f"table {self.name!r} has no row id {exc.args[0]}") from None
+
     def get_by_key(self, key_value: Any) -> dict[str, Any] | None:
         """Return the row whose key column equals *key_value*, if any.
 

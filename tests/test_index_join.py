@@ -1,15 +1,19 @@
 """Persistent index-backed spatial joins: planner, operators, advisor, deltas.
 
-Covers the index-probing band join (`IndexProbeJoinOp`), its plan-time
-selection against registered `GridIndex` / `RangeTreeIndex` / `SortedIndex`
-structures, the index advisor's create/evict policy, and the regression
-for `RangeProbeJoinOp`'s degenerate cell-size estimate.
+Covers the index-probing band join (`IndexProbeJoinOp` on the row path,
+`BatchIndexProbeJoinOp` on the batch path), its plan-time selection against
+registered `GridIndex` / `RangeTreeIndex` / `SortedIndex` structures, the
+row/batch equivalence of the shared probe core, the index advisor's
+create/evict policy, and the regression for `RangeProbeJoinOp`'s degenerate
+cell-size estimate.
 """
 
 from __future__ import annotations
 
 import random
 import time
+
+import pytest
 
 from repro.engine import (
     Catalog,
@@ -28,6 +32,8 @@ from repro.engine import (
 )
 from repro.engine.indexes import GridIndex, HashIndex, RangeTreeIndex, SortedIndex
 from repro.engine.operators import (
+    BatchBridgeOp,
+    BatchIndexProbeJoinOp,
     IndexProbeJoinOp,
     RangeProbeJoinOp,
     ValuesOp,
@@ -87,8 +93,21 @@ def band_plan(inner_filter=None):
     return Select(join, predicate)
 
 
+#: The index-probing band join, on either execution path.
+_PROBE_JOINS = (IndexProbeJoinOp, BatchIndexProbeJoinOp)
+
+
+def _walk(op):
+    """Every operator under *op*, descending through batch bridges."""
+    yield op
+    if isinstance(op, BatchBridgeOp):
+        yield from _walk(op.batch_root)
+    for child in op.children:
+        yield from _walk(child)
+
+
 def _join_ops(executor: Executor, plan) -> list:
-    return [op for op in executor.prepare(plan, cache=False).physical.walk()]
+    return list(_walk(executor.prepare(plan, cache=False).physical))
 
 
 class TestIndexProbePlanning:
@@ -96,31 +115,43 @@ class TestIndexProbePlanning:
         catalog = _make_catalog()
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
         ops = _join_ops(Executor(catalog), band_plan())
-        probes = [op for op in ops if isinstance(op, IndexProbeJoinOp)]
+        probes = [op for op in ops if isinstance(op, _PROBE_JOINS)]
         assert len(probes) == 1
-        assert probes[0].index_name == "xy"
+        assert probes[0].probe.index_name == "xy"
+
+    def test_labels_show_table_index_and_bounds(self, env_config):
+        catalog = _make_catalog()
+        catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
+        labels = {}
+        for use_batch in (True, False):
+            executor = Executor(catalog, config=env_config(use_batch=use_batch))
+            (op,) = [op for op in _join_ops(executor, band_plan()) if isinstance(op, _PROBE_JOINS)]
+            labels[use_batch] = op.label()
+        assert labels[False].startswith("IndexProbeJoin(unit.xy, ")
+        assert "<=u.x<=" in labels[False] and "<=u.y<=" in labels[False]
+        assert labels[True] == "Batch" + labels[False]
 
     def test_range_tree_index_is_probed(self):
         catalog = _make_catalog()
         catalog.create_index("unit", "tree", RangeTreeIndex(["x", "y"]))
         ops = _join_ops(Executor(catalog), band_plan())
-        assert any(isinstance(op, IndexProbeJoinOp) for op in ops)
+        assert any(isinstance(op, _PROBE_JOINS) for op in ops)
 
     def test_sorted_index_covers_one_dimension(self):
         catalog = _make_catalog()
         catalog.create_index("unit", "by_x", SortedIndex("x"))
         ops = _join_ops(Executor(catalog), band_plan())
-        probes = [op for op in ops if isinstance(op, IndexProbeJoinOp)]
+        probes = [op for op in ops if isinstance(op, _PROBE_JOINS)]
         assert len(probes) == 1
-        assert probes[0].index_name == "by_x"
+        assert probes[0].probe.index_name == "by_x"
 
     def test_widest_coverage_wins(self):
         catalog = _make_catalog()
         catalog.create_index("unit", "by_x", SortedIndex("x"))
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
         ops = _join_ops(Executor(catalog), band_plan())
-        probes = [op for op in ops if isinstance(op, IndexProbeJoinOp)]
-        assert probes and probes[0].index_name == "xy"
+        probes = [op for op in ops if isinstance(op, _PROBE_JOINS)]
+        assert probes and probes[0].probe.index_name == "xy"
 
     def test_hash_index_is_not_probed(self):
         # Pin the interpreted plan shape: under use_compiled the grid
@@ -128,7 +159,7 @@ class TestIndexProbePlanning:
         catalog = _make_catalog()
         catalog.create_index("unit", "h", HashIndex(["x", "y"]))
         ops = _join_ops(Executor(catalog, EngineConfig()), band_plan())
-        assert not any(isinstance(op, IndexProbeJoinOp) for op in ops)
+        assert not any(isinstance(op, _PROBE_JOINS) for op in ops)
         assert any(isinstance(op, RangeProbeJoinOp) for op in ops)
 
     def test_no_index_falls_back_to_grid_rebuild(self):
@@ -140,7 +171,7 @@ class TestIndexProbePlanning:
         catalog = _make_catalog()
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
         ops = _join_ops(Executor(catalog, config=env_config(use_indexes=False)), band_plan())
-        assert not any(isinstance(op, IndexProbeJoinOp) for op in ops)
+        assert not any(isinstance(op, _PROBE_JOINS) for op in ops)
 
 
 class TestIndexProbeEquivalence:
@@ -148,7 +179,7 @@ class TestIndexProbeEquivalence:
         indexed = Executor(catalog)
         batch = Executor(catalog, config=env_config(use_indexes=False))
         row = Executor(catalog, config=env_config(use_indexes=False, use_batch=False))
-        assert any(isinstance(op, IndexProbeJoinOp) for op in _join_ops(indexed, plan))
+        assert any(isinstance(op, _PROBE_JOINS) for op in _join_ops(indexed, plan))
         rows_indexed = indexed.execute(plan, cache=False).rows
         rows_batch = batch.execute(plan, cache=False).rows
         rows_row = row.execute(plan, cache=False).rows
@@ -198,6 +229,119 @@ class TestIndexProbeEquivalence:
             assert _normalized(indexed.execute(plan).rows) == _normalized(
                 row.execute(plan).rows
             ), f"tick {tick}"
+
+
+def _strict_band_plan():
+    """``band_plan`` with strict x bounds (kept as residual conjuncts)."""
+    join = Join(TableScan("unit", alias="self"), TableScan("unit", alias="u"), None, how="cross")
+    predicate = and_all(
+        [
+            col("u.x").gt(col("self.x") - col("self.range")),
+            col("u.x").lt(col("self.x") + col("self.range")),
+            col("u.y").ge(col("self.y") - col("self.range")),
+            col("u.y").le(col("self.y") + col("self.range")),
+        ]
+    )
+    return Select(join, predicate)
+
+
+#: case → (index factories, plan factory, catalog has null coordinates).
+_PARITY_CASES = {
+    "grid": ({"xy": lambda: GridIndex(["x", "y"], cell_size=5.0)}, band_plan, False),
+    "range_tree": ({"tree": lambda: RangeTreeIndex(["x", "y"])}, band_plan, False),
+    "sorted_one_dimension": ({"by_x": lambda: SortedIndex("x")}, band_plan, False),
+    "null_coordinates": ({"xy": lambda: GridIndex(["x", "y"], cell_size=5.0)}, band_plan, True),
+    "strict_bounds": ({"xy": lambda: GridIndex(["x", "y"], cell_size=5.0)}, _strict_band_plan, False),
+    "folded_inner_select": (
+        {"xy": lambda: GridIndex(["x", "y"], cell_size=5.0)},
+        lambda: band_plan(inner_filter=col("u.health").gt(lit(40))),
+        False,
+    ),
+}
+
+
+class TestBatchRowProbeParity:
+    """The batch and row index-probe joins share one probe core: every tick
+    of a churned table they return the same rows in the same order and
+    report the same ``(n_probes, width_sum, width_count)`` to the advisor."""
+
+    def _paths(self, catalog, plan, env_config):
+        paths = {}
+        for name, use_batch, kind in (
+            ("batch", True, BatchIndexProbeJoinOp),
+            ("row", False, IndexProbeJoinOp),
+        ):
+            executor = Executor(catalog, config=env_config(use_batch=use_batch))
+            (op,) = [
+                op for op in _walk(executor.prepare(plan).physical) if isinstance(op, _PROBE_JOINS)
+            ]
+            assert isinstance(op, kind)
+            calls: list[tuple] = []
+            op.stats_hook = lambda *args, calls=calls: calls.append(args)
+            paths[name] = (executor, calls)
+        return paths
+
+    def _churn(self, table, rng, tick, nulls):
+        rowids = list(table.row_ids())
+        for rowid in rng.sample(rowids, 8):
+            table.update(rowid, {"x": rng.uniform(0, 100), "y": rng.uniform(0, 100)})
+        if nulls:
+            table.update(rng.choice(rowids), {"y": None})
+        if tick % 2 == 0:
+            table.insert(
+                {
+                    "id": 10_000 + tick,
+                    "player": tick % 2,
+                    "x": rng.uniform(0, 100),
+                    "y": rng.uniform(0, 100),
+                    "range": 5,
+                    "health": 50,
+                }
+            )
+            table.delete(rng.choice(rowids))
+
+    def _assert_parity(self, catalog, plan, env_config, nulls=False, evict=None, ticks=5):
+        paths = self._paths(catalog, plan, env_config)
+        table = catalog.table("unit")
+        rng = random.Random(23)
+        for tick in range(ticks):
+            if tick == 2 and evict is not None:
+                evict()
+            batch_rows = paths["batch"][0].execute(plan).rows
+            row_rows = paths["row"][0].execute(plan).rows
+            assert batch_rows, f"tick {tick}: no matches, parity would be vacuous"
+            assert batch_rows == row_rows, f"tick {tick}"
+            self._churn(table, rng, tick, nulls)
+        batch_calls, row_calls = paths["batch"][1], paths["row"][1]
+        assert len(batch_calls) == ticks
+        assert batch_calls == row_calls
+
+    @pytest.mark.parametrize("case", sorted(_PARITY_CASES))
+    def test_rows_and_probe_stats_match(self, case, env_config):
+        indexes, make_plan, nulls = _PARITY_CASES[case]
+        catalog = _make_catalog(with_nulls=nulls)
+        for name, make_index in indexes.items():
+            catalog.create_index("unit", name, make_index())
+        self._assert_parity(catalog, make_plan(), env_config, nulls=nulls)
+
+    def test_evicted_index_takes_the_degraded_path(self, env_config):
+        catalog = _make_catalog()
+        catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
+        table = catalog.table("unit")
+
+        def evict():
+            catalog.drop_index("unit", "xy")  # cached plans still name "xy"
+            assert table.find_index_covering(["x", "y"]) is None
+
+        self._assert_parity(catalog, band_plan(), env_config, evict=evict)
+
+    def test_evicted_index_degrades_to_another_covering_index(self, env_config):
+        catalog = _make_catalog()
+        catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
+        catalog.create_index("unit", "by_x", SortedIndex("x"))
+        self._assert_parity(
+            catalog, band_plan(), env_config, evict=lambda: catalog.drop_index("unit", "xy")
+        )
 
 
 class TestEvictedIndexResilience:
@@ -254,7 +398,7 @@ class TestStrictBandBounds:
         plan = self._strict_plan()
         expected = {4.0, 5.0, 6.0}  # strictly inside (3, 7)
         indexed = Executor(catalog)
-        assert any(isinstance(op, IndexProbeJoinOp) for op in _join_ops(indexed, plan))
+        assert any(isinstance(op, _PROBE_JOINS) for op in _join_ops(indexed, plan))
         for executor in (
             indexed,
             Executor(catalog, config=env_config(use_indexes=False)),
@@ -304,7 +448,7 @@ class TestIndexAdvisor:
         assert len(created) == 1 and created[0].startswith(IndexAdvisor.AUTO_INDEX_PREFIX)
         assert isinstance(table.indexes[created[0]], GridIndex)
         # The new plan probes the advisor-created index.
-        assert any(isinstance(op, IndexProbeJoinOp) for op in _join_ops(executor, plan))
+        assert any(isinstance(op, _PROBE_JOINS) for op in _join_ops(executor, plan))
         # Keep it hot: no eviction while the query runs.
         for _ in range(6):
             self._run_band_query(executor, plan)
