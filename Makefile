@@ -59,7 +59,7 @@ bench-shared:
 bench-subscriptions:
 	$(PYTHON) -m pytest benchmarks/bench_subscriptions.py -q -s
 
-## WAL durability gates: persist phase <10% of the tick, replay >=2x live.
+## WAL durability gates: persist phase <=1.68x a JSON encode of its rows, replay >=2x live.
 bench-wal:
 	$(PYTHON) -m pytest benchmarks/bench_wal.py -q -s
 

@@ -16,6 +16,7 @@ small cross products in effect computation.  The planner chooses between:
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
@@ -353,8 +354,8 @@ class RangeProbeJoinOp(PhysicalOperator):
                 if box_cells > len(grid):
                     break
             if box_cells <= len(grid):
-                cells: Iterator[tuple[int, ...]] = _product(
-                    [range(lo_c, hi_c + 1) for lo_c, hi_c in zip(lo_cells, hi_cells)]
+                cells: Iterator[tuple[int, ...]] = itertools.product(
+                    *[range(lo_c, hi_c + 1) for lo_c, hi_c in zip(lo_cells, hi_cells)]
                 )
             else:
                 # The probe box covers more cells than are occupied: scan
@@ -551,12 +552,3 @@ class IndexProbeJoinOp(PhysicalOperator):
     def label(self) -> str:
         return f"IndexProbeJoin({self.probe.label()})"
 
-
-def _product(ranges: Sequence[range]) -> Iterator[tuple[int, ...]]:
-    """Cartesian product of integer ranges as tuples (tiny local itertools.product)."""
-    if not ranges:
-        yield ()
-        return
-    for head in ranges[0]:
-        for tail in _product(ranges[1:]):
-            yield (head,) + tail

@@ -21,10 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.runtime.effects import CombinedEffects, EffectStore
+from repro.engine.aggregates import Accumulator, make_accumulator
+from repro.runtime.effects import CombinedEffects
 from repro.runtime.updates import StateUpdate, UpdateComponent, WorldStateView
 from repro.sgl.ast_nodes import ClassDecl, SglExpression
 from repro.sgl.ir import EffectAssignment, TransactionRequest
+from repro.sgl.semantics import resolve_combinator
 
 __all__ = ["TransactionOutcome", "TransactionReport", "TransactionEngine"]
 
@@ -70,13 +72,27 @@ class TransactionReport:
         return 0.0 if total == 0 else self.abort_count / total
 
 
-class _TentativeState:
-    """A copy-on-write overlay of the constrained attributes."""
+#: Undo-log marker: the attribute (or the whole object) was not in the overlay.
+_ABSENT = object()
 
-    def __init__(self, state: WorldStateView, classes: Mapping[str, ClassDecl]):
+
+class _TentativeState:
+    """A copy-on-write overlay of the constrained attributes.
+
+    While a request is open (:meth:`begin`), every :meth:`set` logs the
+    value it overwrites, so :meth:`abort` costs as much as the request's
+    own writes rather than a copy of the whole overlay.  Aborting removes
+    any object or attribute the request added, which keeps the overlay's
+    insertion order, and so the order of :meth:`updates`, exactly as it
+    was before the request.
+    """
+
+    def __init__(self, state: WorldStateView):
         self._state = state
         self._overlay: dict[tuple[str, Any], dict[str, Any]] = {}
-        self._classes = classes
+        #: ``(object key, attribute, previous value or _ABSENT)`` per write
+        #: of the open request; ``None`` outside a request.
+        self._undo: list[tuple[tuple[str, Any], str, Any]] | None = None
 
     def value(self, class_name: str, object_id: Any, attribute: str) -> Any:
         overlay = self._overlay.get((class_name, object_id))
@@ -94,13 +110,33 @@ class _TentativeState:
         return merged
 
     def set(self, class_name: str, object_id: Any, attribute: str, value: Any) -> None:
-        self._overlay.setdefault((class_name, object_id), {})[attribute] = value
+        key = (class_name, object_id)
+        values = self._overlay.get(key)
+        if values is None:
+            values = self._overlay[key] = {}
+        if self._undo is not None:
+            self._undo.append((key, attribute, values.get(attribute, _ABSENT)))
+        values[attribute] = value
 
-    def snapshot(self) -> dict[tuple[str, Any], dict[str, Any]]:
-        return {key: dict(values) for key, values in self._overlay.items()}
+    def begin(self) -> None:
+        """Open a request: log every write until :meth:`commit` or :meth:`abort`."""
+        self._undo = []
 
-    def restore(self, snapshot: dict[tuple[str, Any], dict[str, Any]]) -> None:
-        self._overlay = {key: dict(values) for key, values in snapshot.items()}
+    def commit(self) -> None:
+        self._undo = None
+
+    def abort(self) -> None:
+        """Undo the open request's writes, newest first."""
+        overlay = self._overlay
+        for key, attribute, previous in reversed(self._undo or ()):
+            values = overlay[key]
+            if previous is _ABSENT:
+                del values[attribute]
+                if not values:
+                    del overlay[key]
+            else:
+                values[attribute] = previous
+        self._undo = None
 
     def updates(self) -> list[StateUpdate]:
         out: list[StateUpdate] = []
@@ -146,6 +182,7 @@ class TransactionEngine(UpdateComponent):
         self._constraint_evaluator = constraint_evaluator
         self._apply = apply or (lambda old, delta: (old or 0) + (delta or 0))
         self._pending: list[TransactionRequest] = []
+        self._write_targets: dict[tuple[str, str, bool], tuple[str, str] | None] = {}
         #: Report for the most recent tick.
         self.last_report = TransactionReport()
 
@@ -168,17 +205,18 @@ class TransactionEngine(UpdateComponent):
     def compute_updates(
         self, state: WorldStateView, effects: CombinedEffects
     ) -> list[StateUpdate]:
-        tentative = _TentativeState(state, self._classes)
-        self._apply_plain_effects(state, effects, tentative)
+        tentative = _TentativeState(state)
+        self._apply_plain_effects(effects, tentative)
         report = TransactionReport()
         for request in self._ordered(self._pending):
-            snapshot = tentative.snapshot()
+            tentative.begin()
             self._apply_assignments(request.assignments, tentative)
             ok, reason = self._check_constraints(request, tentative)
             if ok:
+                tentative.commit()
                 report.outcomes.append(TransactionOutcome(request, True))
             else:
-                tentative.restore(snapshot)
+                tentative.abort()
                 report.outcomes.append(TransactionOutcome(request, False, reason))
         self._pending = []
         self.last_report = report
@@ -192,8 +230,21 @@ class TransactionEngine(UpdateComponent):
     def _attribute_for(self, class_name: str, effect: str) -> str:
         return self._effect_map[class_name][effect]
 
+    def _write_target(self, assignment: EffectAssignment) -> tuple[str, str] | None:
+        """``(state attribute, combinator)`` of a transactional write to an
+        owned effect, ``None`` for an effect this engine does not own."""
+        class_name, effect = assignment.class_name, assignment.effect
+        key = (class_name, effect, assignment.set_insert)
+        if key not in self._write_targets:
+            attribute = self._effect_map.get(class_name, {}).get(effect)
+            self._write_targets[key] = None if attribute is None else (
+                attribute,
+                resolve_combinator(self._classes.get(class_name), effect, assignment.set_insert),
+            )
+        return self._write_targets[key]
+
     def _apply_plain_effects(
-        self, state: WorldStateView, effects: CombinedEffects, tentative: _TentativeState
+        self, effects: CombinedEffects, tentative: _TentativeState
     ) -> None:
         """Non-transactional effects on owned attributes always apply."""
         for (class_name, object_id), values in effects.values.items():
@@ -209,15 +260,24 @@ class TransactionEngine(UpdateComponent):
     ) -> None:
         # Combine a single transaction's own writes with the declared
         # combinators first (a transaction may assign the same effect twice),
-        # then apply the combined value to the tentative state.
-        store = EffectStore(self._classes)
-        store.add_all(a for a in assignments if self._owns_effect(a.class_name, a.effect))
-        combined = store.combine()
-        for (class_name, object_id), values in combined.values.items():
-            for effect, value in values.items():
-                attribute = self._attribute_for(class_name, effect)
+        # then apply the combined values to the tentative state, object by
+        # object in first-write order.  The first write to an effect picks
+        # its combinator, as in :class:`~repro.runtime.effects.EffectStore`.
+        folded: dict[tuple[str, Any], dict[str, tuple[str, Accumulator]]] = {}
+        for assignment in assignments:
+            target = self._write_target(assignment)
+            if target is None:
+                continue
+            per_object = folded.setdefault((assignment.class_name, assignment.target_id), {})
+            slot = per_object.get(assignment.effect)
+            if slot is None:
+                slot = per_object[assignment.effect] = (target[0], make_accumulator(target[1]))
+            slot[1].add(assignment.value)
+        for (class_name, object_id), per_object in folded.items():
+            for attribute, accumulator in per_object.values():
                 old = tentative.value(class_name, object_id, attribute)
-                tentative.set(class_name, object_id, attribute, self._apply(old, value))
+                new = self._apply(old, accumulator.result())
+                tentative.set(class_name, object_id, attribute, new)
 
     def _check_constraints(
         self, request: TransactionRequest, tentative: _TentativeState
@@ -252,7 +312,13 @@ class TransactionEngine(UpdateComponent):
 
     @staticmethod
     def _ordered(requests: Sequence[TransactionRequest]) -> list[TransactionRequest]:
-        """Deterministic admission order: by class, actor id, then block."""
+        """Deterministic admission order: by class, then the ``repr`` of the
+        actor id, then block index.
+
+        ``repr`` compares as text, not as a number: actor ``10`` is admitted
+        before actor ``9``.  The order decides which of several contending
+        requests commit, so it is kept as it is.
+        """
 
         def key(request: TransactionRequest):
             return (request.actor_class, repr(request.actor_id), request.block_index)

@@ -110,6 +110,7 @@ class ScriptInterpreter:
         self.analyzed = analyzed
         self.program = analyzed.program
         self._segmented: dict[str, SegmentedScript] = {}
+        self._expression_walkers: dict[tuple[str, str], _Execution] = {}
 
     # -- public API -----------------------------------------------------------------------
 
@@ -166,11 +167,20 @@ class ScriptInterpreter:
         self_name: str = "self",
     ) -> Any:
         """Evaluate an expression against one object's state (used for
-        transaction constraints and reactive handler conditions)."""
-        env = _Environment(self_name, _ObjectValue(class_name, self_row))
-        script = ScriptDecl("<expr>", class_name, self_name, Block(()), line=0)
-        execution = _Execution(self, script, world, InterpretationResult())
-        return execution.eval(expr, env)
+        transaction constraints and reactive handler conditions).
+
+        These run once per transaction or handler per tick, so the walker
+        is built once per ``(class, self name)``; only the world view and
+        the row change between calls.
+        """
+        key = (class_name, self_name)
+        execution = self._expression_walkers.get(key)
+        if execution is None:
+            script = ScriptDecl("<expr>", class_name, self_name, Block(()), line=0)
+            execution = _Execution(self, script, None, InterpretationResult())
+            self._expression_walkers[key] = execution
+        execution.world = world
+        return execution.eval(expr, _Environment(self_name, _ObjectValue(class_name, self_row)))
 
 
 def evaluate_constraint(
@@ -193,7 +203,7 @@ class _Execution:
         self,
         interpreter: ScriptInterpreter,
         script: ScriptDecl,
-        world: WorldView,
+        world: WorldView | None,
         result: InterpretationResult,
     ):
         self.interpreter = interpreter

@@ -5,6 +5,7 @@ and the debugging tools."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import ExecutionMode, GameWorld
 from repro.engine.errors import ConstraintViolation
@@ -24,8 +25,10 @@ from repro.runtime import (
     astar,
 )
 from repro.runtime.debug import TickInspector, TickLogger, explain_script_plans
-from repro.sgl import parse_program
-from repro.sgl.ir import EffectAssignment
+from repro.sgl import analyze_program, parse_program
+from repro.sgl.interpreter import ScriptInterpreter
+from repro.sgl.ir import EffectAssignment, TransactionRequest
+from repro.sgl.parser import parse_expression
 from repro.workloads import build_marketplace_world
 
 CLASSES_SOURCE = """
@@ -323,6 +326,271 @@ class TestTransactionsEndToEnd:
         high.tick()
         assert high.last_transaction_report.abort_rate > low.last_transaction_report.abort_rate
 
+
+
+ADMISSION_SOURCE = """
+class Trader {
+  state:
+    number gold = 0;
+    number stock = 0;
+  effects:
+    number gold_delta : sum;
+    number stock_delta : sum;
+    number bonus : max;
+    number purchases : sum;
+}
+"""
+
+#: Effect -> state attribute; ``gold_delta`` and ``bonus`` both update
+#: ``gold``, so one request can write that attribute twice.
+ADMISSION_OWNED = {"Trader": {"gold_delta": "gold", "stock_delta": "stock", "bonus": "gold"}}
+
+#: The last constraint compares a number with a string and raises.
+ADMISSION_CONSTRAINTS = ("gold >= 0", "stock >= 0", "gold + stock >= 3", 'gold >= "x"')
+
+#: Requests aim most writes at these ids, so they contend for the same rows.
+SHARED_SELLERS = (0, 1, 2)
+
+
+class _AdmissionState:
+    """A read-only Trader table for driving a TransactionEngine directly."""
+
+    def __init__(self, rows: dict):
+        self._rows = rows
+
+    def objects(self, class_name):
+        return [dict(row) for row in self._rows.values()]
+
+    def get_object(self, class_name, object_id):
+        row = self._rows.get(object_id)
+        return None if row is None else dict(row)
+
+    def class_names(self):
+        return ["Trader"]
+
+
+def _reference_admission(classes, state, plain, requests, evaluator):
+    """Snapshot-based admission: the oracle the undo-log engine must match.
+
+    Copies the whole overlay before every request and restores the copy
+    when the request aborts.
+    """
+    owned = ADMISSION_OWNED
+    overlay: dict = {}
+
+    def value(class_name, object_id, attribute):
+        values = overlay.get((class_name, object_id), {})
+        if attribute in values:
+            return values[attribute]
+        row = state.get_object(class_name, object_id)
+        return None if row is None else row.get(attribute)
+
+    def row(class_name, object_id):
+        base = state.get_object(class_name, object_id)
+        if base is None:
+            return None
+        return {**base, **overlay.get((class_name, object_id), {})}
+
+    def apply(values):
+        for (class_name, object_id), effects in values.items():
+            for effect, delta in effects.items():
+                if effect not in owned.get(class_name, {}):
+                    continue
+                attribute = owned[class_name][effect]
+                old = value(class_name, object_id, attribute)
+                overlay.setdefault((class_name, object_id), {})[attribute] = (old or 0) + (delta or 0)
+
+    def check(request):
+        if not request.constraints:
+            return True, ""
+        actor_row = row(request.actor_class, request.actor_id)
+        if actor_row is None:
+            return False, f"actor {request.actor_id!r} no longer exists"
+        rows = [(request.actor_class, actor_row)]
+        seen = {(request.actor_class, request.actor_id)}
+        for assignment in request.assignments:
+            key = (assignment.class_name, assignment.target_id)
+            if key in seen or assignment.effect not in owned.get(assignment.class_name, {}):
+                continue
+            seen.add(key)
+            target_row = row(*key)
+            if target_row is not None and assignment.class_name == request.actor_class:
+                rows.append((assignment.class_name, target_row))
+        for constraint in request.constraints:
+            for class_name, checked in rows:
+                try:
+                    ok = evaluator(constraint, class_name, checked)
+                except Exception as exc:
+                    return False, f"constraint raised {exc!r}"
+                if not ok:
+                    return False, f"constraint {constraint!r} violated"
+        return True, ""
+
+    apply(plain.values)
+    outcomes = []
+    ordered = sorted(requests, key=lambda r: (r.actor_class, repr(r.actor_id), r.block_index))
+    for request in ordered:
+        snapshot = {key: dict(values) for key, values in overlay.items()}
+        store = EffectStore(classes)
+        store.add_all(a for a in request.assignments if a.effect in owned.get(a.class_name, {}))
+        apply(store.combine().values)
+        ok, reason = check(request)
+        if not ok:
+            overlay = snapshot
+        outcomes.append((request, ok, reason))
+    updates = [
+        StateUpdate(class_name, object_id, attribute, new)
+        for (class_name, object_id), values in overlay.items()
+        for attribute, new in values.items()
+    ]
+    return outcomes, updates
+
+
+def _admission_writes(actor):
+    target = st.one_of(
+        st.just(actor), st.sampled_from(SHARED_SELLERS), st.integers(min_value=0, max_value=13)
+    )
+    write = st.tuples(
+        target,
+        st.sampled_from(["gold_delta", "stock_delta", "bonus", "purchases"]),
+        st.integers(min_value=-6, max_value=6),
+    )
+    return st.lists(write, min_size=1, max_size=4)
+
+
+@st.composite
+def _admission_request(draw):
+    actor = draw(st.integers(min_value=0, max_value=12))
+    writes = draw(_admission_writes(actor))
+    constraints = draw(st.lists(st.sampled_from(ADMISSION_CONSTRAINTS), max_size=2, unique=True))
+    return TransactionRequest(
+        actor_class="Trader",
+        actor_id=actor,
+        assignments=tuple(EffectAssignment("Trader", t, e, v) for t, e, v in writes),
+        constraints=tuple(parse_expression(text) for text in constraints),
+        script_name="trade",
+        block_index=draw(st.integers(min_value=0, max_value=1)),
+    )
+
+
+@st.composite
+def _admission_case(draw):
+    n_objects = draw(st.integers(min_value=3, max_value=11))
+    rows = {
+        i: {
+            "id": i,
+            "gold": draw(st.integers(min_value=0, max_value=8)),
+            "stock": draw(st.integers(min_value=0, max_value=3)),
+        }
+        for i in range(n_objects)
+    }
+    plain = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=13),
+                st.sampled_from(["gold_delta", "stock_delta", "purchases"]),
+                st.integers(min_value=-3, max_value=3),
+            ),
+            max_size=5,
+        )
+    )
+    requests = draw(st.lists(_admission_request(), max_size=12))
+    return rows, plain, requests
+
+
+class TestTransactionAdmission:
+    """The undo-log engine against a snapshot-per-request reference.
+
+    Ids up to 13 over 3–11 stored rows give missing actors and writes to
+    objects no row backs; most writes hit three shared sellers.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_admission_case())
+    @example(
+        # Object 2 is first touched by actor 0's request, which aborts; the
+        # next request writes object 0 and then object 2, so the update
+        # order shows whether the abort removed object 2 from the overlay.
+        case=(
+            {i: {"id": i, "gold": 0, "stock": 0} for i in range(3)},
+            [],
+            [
+                TransactionRequest(
+                    "Trader",
+                    0,
+                    (EffectAssignment("Trader", 2, "gold_delta", 0),),
+                    (parse_expression("gold + stock >= 3"),),
+                ),
+                TransactionRequest(
+                    "Trader",
+                    2,
+                    (
+                        EffectAssignment("Trader", 0, "gold_delta", 0),
+                        EffectAssignment("Trader", 2, "gold_delta", 0),
+                    ),
+                ),
+            ],
+        )
+    )
+    def test_matches_snapshot_reference(self, case):
+        rows, plain_writes, requests = case
+        program = parse_program(ADMISSION_SOURCE)
+        classes = {decl.name: decl for decl in program.classes}
+        interpreter = ScriptInterpreter(analyze_program(program))
+        state = _AdmissionState(rows)
+
+        def evaluator(constraint, class_name, row):
+            return bool(interpreter.evaluate_expression(constraint, class_name, row, state))
+
+        store = EffectStore(classes)
+        store.add_all(EffectAssignment("Trader", t, e, v) for t, e, v in plain_writes)
+        plain = store.combine()
+
+        engine = TransactionEngine(ADMISSION_OWNED, classes, evaluator)
+        engine.submit(requests)
+        updates = engine.compute_updates(state, plain)
+        outcomes = [(o.request, o.committed, o.reason) for o in engine.last_report.outcomes]
+
+        expected_outcomes, expected_updates = _reference_admission(
+            classes, state, plain, requests, evaluator
+        )
+        assert outcomes == expected_outcomes
+        assert updates == expected_updates
+
+    def test_admission_orders_actor_ids_by_repr(self):
+        """Actor 10 is admitted before actor 9 (``repr`` order), so with one
+        item in stock actor 10's purchase commits and actor 9's aborts."""
+        program = parse_program(ADMISSION_SOURCE)
+        classes = {decl.name: decl for decl in program.classes}
+        interpreter = ScriptInterpreter(analyze_program(program))
+        rows = {i: {"id": i, "gold": 10, "stock": 1 if i == 0 else 0} for i in (0, 9, 10)}
+        state = _AdmissionState(rows)
+        stock_ok = parse_expression("stock >= 0")
+
+        def purchase(buyer):
+            return TransactionRequest(
+                "Trader",
+                buyer,
+                (
+                    EffectAssignment("Trader", buyer, "stock_delta", 1),
+                    EffectAssignment("Trader", 0, "stock_delta", -1),
+                ),
+                constraints=(stock_ok,),
+            )
+
+        engine = TransactionEngine(
+            ADMISSION_OWNED,
+            classes,
+            lambda c, cls, row: bool(interpreter.evaluate_expression(c, cls, row, state)),
+        )
+        engine.submit([purchase(9), purchase(10)])
+        updates = engine.compute_updates(state, EffectStore(classes).combine())
+        outcomes = [(o.request.actor_id, o.committed) for o in engine.last_report.outcomes]
+        assert outcomes == [(10, True), (9, False)]
+        assert updates == [
+            StateUpdate("Trader", 10, "stock", 1),
+            StateUpdate("Trader", 0, "stock", 0),
+        ]
 
 class TestDebugTools:
     def test_inspector_state_diff_and_effect_trace(self, simple_game_source):
